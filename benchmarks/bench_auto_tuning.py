@@ -1,7 +1,7 @@
 """E-TUNE — the online self-tuning index vs every static configuration.
 
 Paper connection: every knob the paper exposes (curve kind, decomposition
-precision, run budget, ε, backend) changes *work*, never *answers* — any
+precision, run budget, ε) changes *work*, never *answers* — any
 config decomposes subscriptions into key runs whose union is checked exactly
 by the rectangle fallback.  That freedom is what makes online tuning safe:
 the :class:`~repro.tuning.AutoTuner` can re-curve or re-decompose a drifting

@@ -2,7 +2,7 @@
 
 Paper connection: Fact 2.1 makes a subscription rectangle a bounded set of
 key runs, so "does event p match anything stored here?" becomes a single
-ordered-map probe on the run segments instead of a scan of every stored
+binary search over the run segments instead of a scan of every stored
 subscription.  This benchmark shows the crossover: by 1,000 stored
 subscriptions per interface the index is decisively faster than the linear
 scan, which is the regime a loaded broker actually operates in.

@@ -21,7 +21,8 @@ echo "== tier-1 tests (hypothesis profile: ${HYPOTHESIS_PROFILE:-ci}) =="
 # Includes the cross-curve differential suite
 # (tests/pubsub/test_curve_differential.py): identical scripted workloads
 # under zorder/hilbert/gray must match the linear-scan flat oracle.
-HYPOTHESIS_PROFILE="${HYPOTHESIS_PROFILE:-ci}" python -m pytest -x -q tests
+# perfbench/test_perfbench.py lives outside tests/ and is collected explicitly.
+HYPOTHESIS_PROFILE="${HYPOTHESIS_PROFILE:-ci}" python -m pytest -x -q tests perfbench
 
 echo "== benchmark smoke (tiny sizes) =="
 # bench_subscription_churn's smoke pass *asserts* the batch subscribe/withdraw
@@ -30,9 +31,9 @@ echo "== benchmark smoke (tiny sizes) =="
 # bench_curve_ablation's smoke pass asserts the per-event delivery sets are
 # identical under every curve (the driver raises on any divergence) and that
 # Hilbert needs fewer key runs than Z on the Fig. 1-style rectangle family.
-# bench_match_scale's smoke pass still runs the full parity phase: every
-# match backend (flat/avl/skiplist/sortedlist/sharded) under every curve must
-# agree with a brute-force rectangle oracle before anything is timed.
+# bench_match_scale's smoke pass still runs the full parity phase: the match
+# index under every curve (zorder/hilbert/gray) must agree with a brute-force
+# rectangle oracle before anything is timed.
 # bench_topology_scale's smoke pass runs the generated internet-scale
 # topology classes (skewed tree / scale-free / grid-of-clusters) at tiny node
 # counts, including the region netsplit -> per-partition traffic -> heal
@@ -49,6 +50,26 @@ REPRO_BENCH_SMOKE=1 python -m pytest -q \
     benchmarks/bench_sim_latency.py \
     benchmarks/bench_match_scale.py \
     benchmarks/bench_topology_scale.py
+
+echo "== end-to-end benchmark smoke (perfbench) =="
+# A short run of each declared workload plus one traced run. The traced run
+# wraps every layer entry point perfbench/tracing.py names, so renaming or
+# deleting one fails here instead of silently breaking the benchmark. Each
+# run must end with a JSON line reporting "correct": true and "failed": 0.
+perfbench_smoke() {
+    local last
+    last=$(python3 perfbench/run.py "$@" | tail -n 1)
+    python - "$last" "$*" <<'PY'
+import json, sys
+report = json.loads(sys.argv[1])
+assert report["correct"] is True, f"perfbench {sys.argv[2]}: not correct"
+assert report["failed"] == 0, f"perfbench {sys.argv[2]}: {report['failed']} failed"
+PY
+}
+for workload in sub-stock pub-auction churn-sensor; do
+    perfbench_smoke --workload "$workload" --seed 1 --seconds 0.5
+done
+perfbench_smoke --workload pub-auction --seed 1 --seconds 0.5 --trace 1
 
 echo "== metrics / exposition smoke =="
 # The observability layer end to end: a seeded tree scenario must produce

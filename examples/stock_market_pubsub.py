@@ -17,14 +17,7 @@ from __future__ import annotations
 import random
 
 from repro.analysis.reporting import format_table
-from repro.pubsub import (
-    BrokerNetwork,
-    Event,
-    Publisher,
-    Subscriber,
-    Subscription,
-    tree_topology,
-)
+from repro.pubsub import BrokerNetwork, Event, Subscription, tree_topology
 from repro.workloads.scenarios import stock_market_scenario
 
 
@@ -36,15 +29,18 @@ def motivating_example() -> None:
     network = BrokerNetwork.from_topology(
         schema, tree_topology(5), covering="approximate", epsilon=0.05, cube_budget=5_000
     )
-    trader = Subscriber(network, broker_id=4, client_id="ibm-trader")
-    trader.subscribe({"volume": (500.0, 1_000_000.0), "price": (0.0, 95.0)})
+    trader = Subscription(schema, {"volume": (500.0, 1_000_000.0), "price": (0.0, 95.0)})
+    network.subscribe(4, "ibm-trader", trader)
 
-    desk = Publisher(network, broker_id=0, client_id="trading-desk")
-    desk.publish({"price": 88.0, "volume": 1000.0, "change_pct": 0.3}, event_id="ibm-tick")
-    desk.publish({"price": 120.0, "volume": 50.0, "change_pct": -1.0}, event_id="other-tick")
+    # The trading desk publishes at broker 0.
+    ticks = [
+        Event(schema, {"price": 88.0, "volume": 1000.0, "change_pct": 0.3}, event_id="ibm-tick"),
+        Event(schema, {"price": 120.0, "volume": 50.0, "change_pct": -1.0}, event_id="other-tick"),
+    ]
+    received = [tick.event_id for tick in ticks if "ibm-trader" in network.publish(0, tick)]
 
     print("Motivating example")
-    print(f"  trader received: {trader.received_events()}")
+    print(f"  trader received: {received}")
     print(f"  subscription messages sent between brokers: {network.subscription_messages}")
     print()
 

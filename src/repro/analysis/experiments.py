@@ -899,7 +899,6 @@ def run_event_matching_experiment(
     num_events: int = 400,
     order: int = 8,
     seed: int = 17,
-    backend: str = "avl",
     run_budget: int = 64,
     curve: str = "zorder",
 ) -> ResultTable:
@@ -944,7 +943,6 @@ def run_event_matching_experiment(
             "bench",
             schema=schema,
             matching="sfc",
-            backend=backend,
             run_budget=run_budget,
             curve=curve,
         )
@@ -1244,18 +1242,10 @@ def run_throughput_experiment(
     num_queries: int = 60,
     epsilon: float = 0.1,
     seed: int = 23,
-    backend: str = "flat",
 ) -> ResultTable:
-    """E-THROUGHPUT: queries/second vs table size for each covering index.
-
-    ``backend`` selects the SFC-array ordered-map store behind the
-    approximate detector (``"flat"``, ``"avl"``, ``"skiplist"``,
-    ``"sortedlist"``) so backend choice can be ablated on the same workload;
-    answers are backend-independent, only the timings move.
-    """
+    """E-THROUGHPUT: queries/second vs table size for each covering index."""
     table = ResultTable(
-        "E-THROUGHPUT: covering-check throughput vs stored subscriptions "
-        f"(sfc backend: {backend})"
+        "E-THROUGHPUT: covering-check throughput vs stored subscriptions"
     )
     dims = 2 * attributes
     query_workload = SubscriptionWorkload(
@@ -1281,7 +1271,6 @@ def run_throughput_experiment(
             attribute_order=order,
             epsilon=epsilon,
             cube_budget=20_000,
-            backend=backend,
         )
         linear = LinearScanCoveringDetector(attributes, order)
         kdtree = KDTree(dims=dims)
@@ -1519,44 +1508,51 @@ def _scale_subscriptions(
     return items
 
 
+#: Per-subscription insert rate of the ordered-map (AVL) match store the flat
+#: store replaced: 20,000 one-at-a-time inserts at order 10 with 4 precision
+#: bits, as recorded in ``benchmarks/results/BENCH_match_scale.json`` before
+#: that store was removed from the package.
+AVL_BASELINE_POPULATION = 20_000
+AVL_BASELINE_INSERTS_PER_SECOND = 6_411.3
+
+
 def run_match_scale_experiment(
     populations: Sequence[int] = (100_000, 1_000_000),
-    baseline_population: int = 20_000,
     num_events: int = 20_000,
     num_delivery_events: int = 200,
     order: int = 10,
     precision_bits: int = 4,
-    shards: int = 4,
     parity_subscriptions: int = 400,
     parity_events: int = 300,
     seed: int = 31,
     min_speedup: float = 0.0,
 ) -> ResultTable:
-    """E-MATCH-SCALE: million-subscription matching on the flattened backends.
+    """E-MATCH-SCALE: million-subscription matching on the flat segment store.
 
-    Three phases, one row each:
+    Three phases:
 
-    * **parity** — every backend (including ``"sharded"``) under every curve
-      must produce delivery sets identical to a brute-force rectangle scan;
-      any disagreement raises instead of producing a row.
-    * **baseline** — per-subscription insert throughput of the ordered-map
-      default of the previous generation (``"avl"``), measured at a size it
-      can sustain.
+    * **parity** — the match index under every curve must produce delivery
+      sets identical to a brute-force rectangle scan; any disagreement raises
+      instead of producing a row.
+    * **baseline** — the recorded per-subscription insert rate of the
+      ordered-map store of the previous generation
+      (:data:`AVL_BASELINE_INSERTS_PER_SECOND`).  It is a fixed number, not a
+      live measurement, so speedups against it are only meaningful on
+      hardware comparable to the machine that recorded it.
     * **scale** — for each population: bulk ``add_batch`` build throughput and
       publish throughput (``any_match_batch`` over ``num_events`` events plus
-      ``matching_ids_batch`` over ``num_delivery_events``) for the ``"flat"``
-      and ``"sharded"`` backends, with segment counts, flattened member
-      entries and peak RSS.  ``min_speedup`` (when > 0) asserts the flat bulk
-      build rate is at least that multiple of the baseline insert rate.
+      ``matching_ids_batch`` over ``num_delivery_events``), with segment
+      counts, flattened member entries and peak RSS.  ``min_speedup`` (when
+      > 0) asserts the bulk build rate is at least that multiple of the
+      baseline insert rate.
     """
     import random
     import resource
 
     from ..pubsub.match_index import MatchIndex
-    from ..pubsub.sharded_index import ShardedMatchIndex
     from ..sfc.factory import CURVE_KINDS
 
-    table = ResultTable("E-MATCH-SCALE: million-subscription matching, flat + sharded backends")
+    table = ResultTable("E-MATCH-SCALE: million-subscription matching, flat segment store")
     schema = _default_schema(order)
     side = 1 << order
 
@@ -1574,30 +1570,20 @@ def run_match_scale_experiment(
         )
         for cells in parity_cells
     ]
-    backends = ("flat", "avl", "skiplist", "sortedlist", "sharded")
     combos = 0
     for curve in CURVE_KINDS:
-        for backend in backends:
-            if backend == "sharded":
-                index = ShardedMatchIndex(
-                    schema, shards=shards, curve=curve, precision_bits=precision_bits
-                )
-            else:
-                index = MatchIndex(
-                    schema, backend=backend, curve=curve, precision_bits=precision_bits
-                )
-            index.add_batch(parity_items)
-            got = [sorted(ids) for ids in index.matching_ids_batch(parity_cells)]
-            if got != oracle:
-                bad = next(i for i in range(len(oracle)) if got[i] != oracle[i])
-                raise AssertionError(
-                    f"backend {backend!r} under curve {curve!r} disagrees with the "
-                    f"rectangle oracle on event {parity_cells[bad]}"
-                )
-            combos += 1
+        index = MatchIndex(schema, curve=curve, precision_bits=precision_bits)
+        index.add_batch(parity_items)
+        got = [sorted(ids) for ids in index.matching_ids_batch(parity_cells)]
+        if got != oracle:
+            bad = next(i for i in range(len(oracle)) if got[i] != oracle[i])
+            raise AssertionError(
+                f"curve {curve!r} disagrees with the rectangle oracle on event "
+                f"{parity_cells[bad]}"
+            )
+        combos += 1
     table.add(
         phase="parity",
-        backend="all",
         curve="all",
         subscriptions=parity_subscriptions,
         events=parity_events,
@@ -1605,21 +1591,13 @@ def run_match_scale_experiment(
     )
 
     # -------------------------------------------------------------- baseline
-    baseline_items = _scale_subscriptions(baseline_population, order, seed)
-    baseline = MatchIndex(schema, backend="avl", precision_bits=precision_bits)
-    start = time.perf_counter()
-    for sub_id, ranges in baseline_items:
-        baseline.add(sub_id, ranges)
-    baseline_seconds = time.perf_counter() - start
-    baseline_rate = baseline_population / baseline_seconds
+    baseline_rate = AVL_BASELINE_INSERTS_PER_SECOND
     table.add(
         phase="baseline",
-        backend="avl",
+        store="avl (recorded)",
         curve="zorder",
-        subscriptions=baseline_population,
-        build_seconds=round(baseline_seconds, 3),
-        inserts_per_second=round(baseline_rate, 1),
-        segments=baseline.segment_count(),
+        subscriptions=AVL_BASELINE_POPULATION,
+        inserts_per_second=baseline_rate,
     )
 
     # ----------------------------------------------------------------- scale
@@ -1630,61 +1608,47 @@ def run_match_scale_experiment(
             (event_rng.randrange(side), event_rng.randrange(side))
             for _ in range(num_events)
         ]
-        for backend in ("flat", "sharded"):
-            if backend == "flat":
-                index = MatchIndex(schema, backend="flat", precision_bits=precision_bits)
-            else:
-                index = ShardedMatchIndex(
-                    schema, shards=shards, precision_bits=precision_bits
-                )
-            start = time.perf_counter()
-            index.add_batch(items)
-            build_seconds = time.perf_counter() - start
-            build_rate = population / build_seconds
+        index = MatchIndex(schema, precision_bits=precision_bits)
+        start = time.perf_counter()
+        index.add_batch(items)
+        build_seconds = time.perf_counter() - start
+        build_rate = population / build_seconds
 
-            start = time.perf_counter()
-            any_results = index.any_match_batch(events)
-            any_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        any_results = index.any_match_batch(events)
+        any_seconds = time.perf_counter() - start
 
-            start = time.perf_counter()
-            deliveries = index.matching_ids_batch(events[:num_delivery_events])
-            delivery_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        deliveries = index.matching_ids_batch(events[:num_delivery_events])
+        delivery_seconds = time.perf_counter() - start
 
-            if backend == "flat":
-                member_entries = index._flat.member_entries
-                rebuilds = index._flat.rebuilds
-                if min_speedup and build_rate < min_speedup * baseline_rate:
-                    raise AssertionError(
-                        f"flat bulk build at {population} subscriptions reached only "
-                        f"{build_rate:.0f}/s vs baseline {baseline_rate:.0f}/s "
-                        f"({build_rate / baseline_rate:.1f}x < {min_speedup}x)"
-                    )
-            else:
-                member_entries = sum(
-                    shard._flat.member_entries for shard in index._indexes
-                )
-                rebuilds = sum(shard._flat.rebuilds for shard in index._indexes)
-            table.add(
-                phase="scale",
-                backend=backend,
-                curve="zorder",
-                subscriptions=population,
-                build_seconds=round(build_seconds, 3),
-                inserts_per_second=round(build_rate, 1),
-                speedup_vs_baseline=round(build_rate / baseline_rate, 2),
-                any_match_events_per_second=round(num_events / any_seconds, 1),
-                matching_hit_rate=round(sum(any_results) / num_events, 4),
-                delivery_events_per_second=round(
-                    num_delivery_events / delivery_seconds, 1
-                ),
-                delivered_matches=sum(len(ids) for ids in deliveries),
-                segments=index.segment_count(),
-                member_entries=member_entries,
-                rebuilds=rebuilds,
-                peak_rss_mb=round(
-                    resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
-                ),
+        if min_speedup and build_rate < min_speedup * baseline_rate:
+            raise AssertionError(
+                f"flat bulk build at {population} subscriptions reached only "
+                f"{build_rate:.0f}/s vs baseline {baseline_rate:.0f}/s "
+                f"({build_rate / baseline_rate:.1f}x < {min_speedup}x)"
             )
+        table.add(
+            phase="scale",
+            store="flat",
+            curve="zorder",
+            subscriptions=population,
+            build_seconds=round(build_seconds, 3),
+            inserts_per_second=round(build_rate, 1),
+            speedup_vs_baseline=round(build_rate / baseline_rate, 2),
+            any_match_events_per_second=round(num_events / any_seconds, 1),
+            matching_hit_rate=round(sum(any_results) / num_events, 4),
+            delivery_events_per_second=round(
+                num_delivery_events / delivery_seconds, 1
+            ),
+            delivered_matches=sum(len(ids) for ids in deliveries),
+            segments=index.segment_count(),
+            member_entries=index._flat.member_entries,
+            rebuilds=index._flat.rebuilds,
+            peak_rss_mb=round(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1
+            ),
+        )
     return table
 
 
@@ -1722,7 +1686,7 @@ def run_auto_tuning_experiment(
     Protocol per scenario: batch-subscribe everything, publish a warm-up wave
     (the tuner adapts during it), snapshot the deterministic work counters,
     publish the measurement wave, and report the *measurement-window* work —
-    candidates checked per event, the backend-independent unit every other
+    candidates checked per event, the hardware-independent unit every other
     matching experiment uses.  Wall-clock throughput is reported alongside
     but the acceptance comparison is on work units.
 

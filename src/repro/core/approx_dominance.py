@@ -318,9 +318,6 @@ class ApproximateDominanceIndex:
     curve:
         The space filling curve; defaults to the Z-order curve analysed in the
         paper.  Any recursive-partitioning curve works.
-    backend:
-        Ordered-map backend for the SFC array (``"avl"``, ``"skiplist"`` or
-        ``"sortedlist"``).
     merge_adjacent_runs:
         When True, key ranges of cubes belonging to the same level class are
         merged before probing, so adjacent cubes cost a single probe
@@ -335,10 +332,8 @@ class ApproximateDominanceIndex:
     universe: Universe
     epsilon: float = 0.05
     curve: Optional[SpaceFillingCurve] = None
-    backend: str = "avl"
     merge_adjacent_runs: bool = True
     cube_budget: int = 1_000_000
-    seed: Optional[int] = None
     config: Optional[IndexConfig] = None
     array: SFCArray = field(init=False)
 
@@ -351,7 +346,7 @@ class ApproximateDominanceIndex:
             self.curve = ZOrderCurve(self.universe)
         elif self.curve.universe != self.universe:
             raise ValueError("curve universe does not match the index universe")
-        self.array = SFCArray(self.curve, backend=self.backend, seed=self.seed)
+        self.array = SFCArray(self.curve)
 
     # ---------------------------------------------------------------- updates
     def __len__(self) -> int:

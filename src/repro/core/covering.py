@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..geometry.transform import DominanceTransform, Range
-from ..index.backends import ordered_map_backend_name
 from ..index.config import IndexConfig, resolve_index_config
 from ..sfc.factory import make_curve
 from .approx_dominance import (
@@ -127,8 +126,8 @@ class CoveringProfiler:
         entries by this key so that (in particular) the same subscription
         profiled under two different curves never shares a cached plan.  The
         plan-shaping knobs come from the config's covering key, so profilers
-        built from configs differing only in storage knobs (backend, run
-        budget, shards) share a namespace — their profiles are identical.
+        built from configs differing only in storage knobs (precision, run
+        budget) share a namespace — their profiles are identical.
         """
         return (
             self.config.covering_key(),
@@ -163,9 +162,6 @@ class ApproximateCoveringDetector:
         Bits per attribute; attribute values lie in ``[0, 2^k − 1]``.
     epsilon:
         Default approximation parameter (0 = exhaustive search).
-    backend:
-        SFC-array backend name (``"flat"``, ``"avl"``, ``"skiplist"``,
-        ``"sortedlist"``).  Defaults to the flattened sorted-array store.
     cube_budget:
         Per-query cap on examined standard cubes (passed to the dominance index).
     curve:
@@ -177,10 +173,8 @@ class ApproximateCoveringDetector:
     attributes: int
     attribute_order: int
     epsilon: Optional[float] = None
-    backend: Optional[str] = None
     cube_budget: Optional[int] = None
     curve: Optional[str] = None
-    seed: Optional[int] = None
     config: Optional[IndexConfig] = None
     transform: DominanceTransform = field(init=False)
     index: ApproximateDominanceIndex = field(init=False)
@@ -191,15 +185,11 @@ class ApproximateCoveringDetector:
         config = resolve_index_config(
             self.config,
             epsilon=self.epsilon,
-            backend=self.backend,
             cube_budget=self.cube_budget,
             curve=self.curve,
         )
         self.config = config
         self.epsilon = config.epsilon
-        # The dominance index needs an ordered map; the composite "sharded"
-        # matching backend maps to the flat store its shards are built on.
-        self.backend = ordered_map_backend_name(config.backend)
         self.cube_budget = config.cube_budget
         self.curve = config.curve
         self.transform = DominanceTransform(self.attributes, self.attribute_order)
@@ -207,9 +197,7 @@ class ApproximateCoveringDetector:
             universe=self.transform.universe,
             epsilon=self.epsilon,
             curve=make_curve(self.curve, self.transform.universe),
-            backend=self.backend,
             cube_budget=self.cube_budget,
-            seed=self.seed,
             config=config,
         )
         self._subscriptions: Dict[Hashable, Tuple[Range, ...]] = {}

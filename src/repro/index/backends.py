@@ -1,161 +1,20 @@
-"""Ordered-map backends for the SFC array.
+"""The ordered map behind the SFC array.
 
-The SFC array only needs a small ordered-map contract: insert, delete, exact
-lookup, "first key in a range" and an ordered range scan.  Four backends
-implement it:
-
-* :class:`SkipListBackend` — the skip list from :mod:`repro.index.skiplist`.
-* :class:`AVLBackend` — the AVL tree from :mod:`repro.index.avl`.
-* :class:`SortedListBackend` — a plain Python list kept sorted with ``bisect``;
-  ``O(n)`` insertion/deletion but extremely fast constants and binary-search
-  range probes.  This is the baseline the ablation benchmark compares against.
-* :class:`FlatBackend` — a flattened sorted array with a bounded pending
-  buffer for inserts and tombstoned deletes; probes are pure ``bisect``, and
-  updates amortise their re-sorting cost across ``O(√n)``-sized merges.  This
-  replaces per-node pointer structures on the hot path at scale.
-
-All four are interchangeable through :func:`make_backend`.
+The SFC array only needs a small ordered-map contract over integer keys:
+insert, delete, exact lookup, "first key in a range" and an ordered range
+scan.  :class:`FlatBackend` provides it as a flattened sorted array with a
+bounded pending buffer for inserts and tombstoned deletes; probes are pure
+``bisect``, and updates amortise their re-sorting cost across
+``O(√n)``-sized merges.
 """
 
 from __future__ import annotations
 
 import bisect
 from math import isqrt
-from typing import Any, Dict, Iterator, List, Optional, Protocol, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
-from .avl import AVLTree
-from .skiplist import SkipList
-
-__all__ = [
-    "OrderedMapBackend",
-    "SkipListBackend",
-    "AVLBackend",
-    "SortedListBackend",
-    "FlatBackend",
-    "make_backend",
-    "ordered_map_backend_name",
-    "BACKEND_NAMES",
-    "DEFAULT_BACKEND",
-]
-
-
-class OrderedMapBackend(Protocol):
-    """Contract required of an SFC-array backend (keys are integers)."""
-
-    def insert(self, key: int, value: Any) -> None: ...
-
-    def delete(self, key: int) -> bool: ...
-
-    def get(self, key: int, default: Any = None) -> Any: ...
-
-    def first_in_range(self, low: int, high: int) -> Optional[Tuple[int, Any]]: ...
-
-    def items_in_range(self, low: int, high: int) -> Iterator[Tuple[int, Any]]: ...
-
-    def items(self) -> Iterator[Tuple[int, Any]]: ...
-
-    def __len__(self) -> int: ...
-
-
-class SkipListBackend:
-    """Skip-list ordered map (expected ``O(log n)`` updates)."""
-
-    def __init__(self, seed: Optional[int] = None) -> None:
-        self._map: SkipList[int, Any] = SkipList(seed=seed)
-
-    def insert(self, key: int, value: Any) -> None:
-        self._map.insert(key, value)
-
-    def delete(self, key: int) -> bool:
-        return self._map.delete(key)
-
-    def get(self, key: int, default: Any = None) -> Any:
-        return self._map.get(key, default)
-
-    def first_in_range(self, low: int, high: int) -> Optional[Tuple[int, Any]]:
-        return self._map.first_in_range(low, high)
-
-    def items_in_range(self, low: int, high: int) -> Iterator[Tuple[int, Any]]:
-        return self._map.items_in_range(low, high)
-
-    def items(self) -> Iterator[Tuple[int, Any]]:
-        return self._map.items()
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-
-class AVLBackend:
-    """AVL-tree ordered map (worst-case ``O(log n)`` updates)."""
-
-    def __init__(self) -> None:
-        self._map: AVLTree[int, Any] = AVLTree()
-
-    def insert(self, key: int, value: Any) -> None:
-        self._map.insert(key, value)
-
-    def delete(self, key: int) -> bool:
-        return self._map.delete(key)
-
-    def get(self, key: int, default: Any = None) -> Any:
-        return self._map.get(key, default)
-
-    def first_in_range(self, low: int, high: int) -> Optional[Tuple[int, Any]]:
-        return self._map.first_in_range(low, high)
-
-    def items_in_range(self, low: int, high: int) -> Iterator[Tuple[int, Any]]:
-        return self._map.items_in_range(low, high)
-
-    def items(self) -> Iterator[Tuple[int, Any]]:
-        return self._map.items()
-
-    def __len__(self) -> int:
-        return len(self._map)
-
-
-class SortedListBackend:
-    """Sorted Python list with binary-search probes (``O(n)`` updates)."""
-
-    def __init__(self) -> None:
-        self._keys: List[int] = []
-        self._values: Dict[int, Any] = {}
-
-    def insert(self, key: int, value: Any) -> None:
-        if key not in self._values:
-            bisect.insort(self._keys, key)
-        self._values[key] = value
-
-    def delete(self, key: int) -> bool:
-        if key not in self._values:
-            return False
-        del self._values[key]
-        idx = bisect.bisect_left(self._keys, key)
-        self._keys.pop(idx)
-        return True
-
-    def get(self, key: int, default: Any = None) -> Any:
-        return self._values.get(key, default)
-
-    def first_in_range(self, low: int, high: int) -> Optional[Tuple[int, Any]]:
-        idx = bisect.bisect_left(self._keys, low)
-        if idx < len(self._keys) and self._keys[idx] <= high:
-            key = self._keys[idx]
-            return (key, self._values[key])
-        return None
-
-    def items_in_range(self, low: int, high: int) -> Iterator[Tuple[int, Any]]:
-        idx = bisect.bisect_left(self._keys, low)
-        while idx < len(self._keys) and self._keys[idx] <= high:
-            key = self._keys[idx]
-            yield (key, self._values[key])
-            idx += 1
-
-    def items(self) -> Iterator[Tuple[int, Any]]:
-        for key in self._keys:
-            yield (key, self._values[key])
-
-    def __len__(self) -> int:
-        return len(self._keys)
+__all__ = ["FlatBackend"]
 
 
 class FlatBackend:
@@ -282,32 +141,3 @@ class FlatBackend:
 
     def __len__(self) -> int:
         return len(self._values)
-
-
-BACKEND_NAMES = ("skiplist", "avl", "sortedlist", "flat")
-
-#: Default ordered-map backend of the routing stack (the flattened array).
-DEFAULT_BACKEND = "flat"
-
-
-def make_backend(name: str, seed: Optional[int] = None) -> OrderedMapBackend:
-    """Instantiate a backend by name (``skiplist``, ``avl``, ``sortedlist`` or ``flat``)."""
-    if name == "skiplist":
-        return SkipListBackend(seed=seed)
-    if name == "avl":
-        return AVLBackend()
-    if name == "sortedlist":
-        return SortedListBackend()
-    if name == "flat":
-        return FlatBackend()
-    raise ValueError(f"unknown SFC-array backend {name!r}; choose one of {BACKEND_NAMES}")
-
-
-def ordered_map_backend_name(name: str) -> str:
-    """Map a routing-layer backend choice to a plain ordered-map backend.
-
-    The covering/dominance indexes need an :class:`OrderedMapBackend`;
-    composite matching backends (``"sharded"``) have no ordered-map
-    counterpart and delegate to the flat store their shards are built on.
-    """
-    return DEFAULT_BACKEND if name == "sharded" else name

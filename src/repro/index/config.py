@@ -3,16 +3,14 @@
 The paper's matching machinery trades false positives for probe speed through
 a handful of knobs: which space-filling curve keys the space, how many
 precision bits the decomposition snaps to, how many key runs a subscription
-may occupy, how many ε-cubes a dominance plan may spend, which ordered-map
-backend stores the runs, and how many shards a composite index spreads over.
+may occupy, and how many ε-cubes a dominance plan may spend.
 Historically those knobs travelled as loose keyword arguments and duplicated
 module constants; :class:`IndexConfig` gathers them into one validated,
 hashable value so any layer can describe, compare, cache-key, or atomically
 swap a configuration — the capability the online self-tuner
 (:mod:`repro.tuning`) is built on.
 
-Only this module defines the knob defaults; ``pubsub/match_index.py`` and
-friends re-export them for backward compatibility.
+Only this module defines the knob defaults.
 """
 
 from __future__ import annotations
@@ -26,27 +24,12 @@ from ..sfc.factory import CURVE_KINDS, DEFAULT_CURVE, curve_class
 __all__ = [
     "DEFAULT_CUBE_BUDGET",
     "DEFAULT_EPSILON",
-    "DEFAULT_MATCH_BACKEND",
     "DEFAULT_PRECISION_BITS",
     "DEFAULT_RUN_BUDGET",
-    "DEFAULT_SHARDS",
-    "INDEX_BACKEND_NAMES",
-    "MATCH_BACKEND_NAMES",
     "PRECISION_BIT_BUDGET",
     "IndexConfig",
     "resolve_index_config",
 ]
-
-#: Ordered-map backends a :class:`~repro.pubsub.match_index.MatchIndex` can
-#: store its key runs in.
-MATCH_BACKEND_NAMES = ("flat", "avl", "skiplist", "sortedlist")
-
-#: Everything :data:`MATCH_BACKEND_NAMES` accepts plus the composite
-#: shard-parallel index (routing-table level only).
-INDEX_BACKEND_NAMES = MATCH_BACKEND_NAMES + ("sharded",)
-
-#: Default ordered-map backend — the cache-friendly flattened array.
-DEFAULT_MATCH_BACKEND = "flat"
 
 #: Cap on key runs stored per subscription (Sec. 3.2 coarsening).
 DEFAULT_RUN_BUDGET = 64
@@ -66,9 +49,6 @@ DEFAULT_CUBE_BUDGET = 2_000
 #: Approximation slack ε of the covering detector (Sec. 4).
 DEFAULT_EPSILON = 0.05
 
-#: Shard count of the composite ``"sharded"`` backend.
-DEFAULT_SHARDS = 4
-
 
 @dataclass(frozen=True)
 class IndexConfig:
@@ -86,16 +66,9 @@ class IndexConfig:
     run_budget: int = DEFAULT_RUN_BUDGET
     cube_budget: int = DEFAULT_CUBE_BUDGET
     epsilon: float = DEFAULT_EPSILON
-    backend: str = DEFAULT_MATCH_BACKEND
-    shards: int = DEFAULT_SHARDS
 
     def __post_init__(self) -> None:
         curve_class(self.curve)  # raises the canonical "unknown curve kind" error
-        if self.backend not in INDEX_BACKEND_NAMES:
-            raise ValueError(
-                f"unknown index backend {self.backend!r}; "
-                f"expected one of {INDEX_BACKEND_NAMES}"
-            )
         if self.run_budget < 1:
             raise ValueError(f"run_budget must be >= 1, got {self.run_budget}")
         if self.precision_bits is not None and self.precision_bits < 1:
@@ -111,8 +84,6 @@ class IndexConfig:
             raise ValueError(f"cube_budget must be >= 1, got {self.cube_budget}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in [0, 1), got {self.epsilon}")
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
 
     # ------------------------------------------------------------- derived
     def effective_precision_bits(self, dims: int) -> int:
@@ -146,16 +117,14 @@ class IndexConfig:
             self.run_budget,
             self.cube_budget,
             self.epsilon,
-            self.backend,
-            self.shards,
         )
 
     def covering_key(self) -> Tuple[Any, ...]:
         """The subset of knobs that shape dominance plans / covering profiles.
 
         Two configs with equal covering keys produce interchangeable
-        :class:`~repro.core.approx_dominance.DominancePlan` objects; backend,
-        run budget and shard count only affect how runs are *stored*.
+        :class:`~repro.core.approx_dominance.DominancePlan` objects; precision
+        and run budget only affect how match-index runs are *stored*.
         """
         return ("covering", self.curve, self.epsilon, self.cube_budget)
 
@@ -182,7 +151,7 @@ def resolve_index_config(
     """Merge keyword sugar into a base config.
 
     Every constructor in the stack keeps its historical keyword arguments
-    (``curve=``, ``backend=``, ``run_budget=`` …) as sugar over
+    (``curve=``, ``run_budget=`` …) as sugar over
     :class:`IndexConfig`; they funnel through here. ``None`` overrides mean
     "not specified" and leave the base value alone — except
     ``precision_bits``, where ``None`` is itself the meaningful

@@ -8,13 +8,12 @@ number of runs touched rather than the volume covered.
 
 :class:`SFCArray` stores ``(item_id, point)`` pairs under their curve keys.
 Multiple items may share a cell (identical subscriptions map to the same
-point), so each key holds a small bucket.  The ordered-map backend is
-pluggable (skip list / AVL tree / sorted list) via
-:mod:`repro.index.backends`.
+point), so each key holds a small bucket.  The buckets live in the
+flattened sorted-array map :class:`~repro.index.backends.FlatBackend`.
 
 Instrumentation: the array counts range probes and items scanned so that
 benchmarks can report the work done by approximate vs exhaustive queries in
-backend-independent units.
+units independent of the storage layout.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from ..obs.profiler import profiled
 from ..sfc import vectorized
 from ..sfc.base import KeyRange, SpaceFillingCurve
 from ..sfc.runs import merge_key_ranges
-from .backends import OrderedMapBackend, make_backend
+from .backends import FlatBackend
 
 __all__ = ["SFCArray", "SFCArrayStats", "StoredItem", "FlatSegmentStore"]
 
@@ -67,22 +66,12 @@ class _Bucket:
 
 
 class SFCArray:
-    """Points indexed in SFC key order with pluggable ordered-map backend."""
+    """Points indexed in SFC key order."""
 
-    def __init__(
-        self,
-        curve: SpaceFillingCurve,
-        backend: str | OrderedMapBackend = "avl",
-        seed: Optional[int] = None,
-    ) -> None:
+    def __init__(self, curve: SpaceFillingCurve) -> None:
         self.curve = curve
         self.universe = curve.universe
-        if isinstance(backend, str):
-            self._backend: OrderedMapBackend = make_backend(backend, seed=seed)
-            self.backend_name = backend
-        else:
-            self._backend = backend
-            self.backend_name = type(backend).__name__
+        self._backend = FlatBackend()
         self._key_of_item: Dict[Hashable, int] = {}
         self.stats = SFCArrayStats()
 
@@ -176,8 +165,7 @@ class SFCArray:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"SFCArray(curve={self.curve.name}, backend={self.backend_name}, "
-            f"items={len(self)})"
+            f"SFCArray(curve={self.curve.name}, items={len(self)})"
         )
 
 
@@ -186,19 +174,19 @@ class FlatSegmentStore:
 
     The store maps integer *slots* (interned subscription ids) to sets of
     inclusive key runs and answers stabbing queries: "which slots have a run
-    containing key ``k``?".  Instead of one ordered-map node per segment it
-    keeps three parallel arrays — segment lower bounds, segment upper bounds,
-    and per-segment member arrays (``array('l')`` of slots) — built in one
-    boundary sweep over every live run.  A stab is then a single ``bisect``
-    on the upper-bound array.
+    containing key ``k``?".  It keeps three parallel arrays — segment lower
+    bounds, segment upper bounds, and per-segment member arrays
+    (``array('l')`` of slots) — built in one boundary sweep over every live
+    run.  A stab is then a single ``bisect`` on the upper-bound array.
 
     Updates are staged, LSM-style:
 
     * **inserts** append their runs to a pending buffer that stabs scan
-      linearly; once the buffer outgrows a fraction of the flattened
-      structure, a *merge-rebuild* re-sweeps all live runs into fresh arrays
-      (amortised: the buffer bound grows with the structure, so rebuild work
-      per insert stays logarithmic until the segment count saturates);
+      linearly; once the buffer holds more than ``64 + segments/8`` runs, a
+      *merge-rebuild* re-sweeps all live runs into fresh arrays.  The cap
+      follows the segment count, not the run count, so once precision
+      snapping saturates the segments a rebuild fires every ~cap staged runs
+      and per-insert rebuild work grows with the index size;
     * **removals** of flattened slots only tombstone the slot (stabs filter
       against the tombstone set); compaction rebuilds once tombstones exceed
       a quarter of the live population.  Removals of still-pending slots

@@ -2,7 +2,7 @@
 
 The evaluation questions the paper motivates are answered by counters; the
 scale/scenario work layered on top (simulated transports, churn scripts,
-sharded indexes) needs those counters *live*, uniform and explainable
+million-subscription indexes) needs those counters *live*, uniform and explainable
 hop-by-hop.  This package is that substrate:
 
 * :mod:`repro.obs.registry` — a :class:`MetricsRegistry` of labeled

@@ -1,7 +1,7 @@
 """Env-gated hot-path profiling hooks (``REPRO_PROF=1``).
 
 The broker stack's hot paths — match-index probes, flat-store merge-rebuild
-and compaction, covering checks, sharded scatter/gather — are wrapped with
+and compaction, covering checks — are wrapped with
 :func:`profiled`.  The wrapper checks the module-global
 :data:`PROFILER`'s ``enabled`` flag *at call time*; when profiling is off
 (the default) a wrapped call costs one attribute load and one branch over the

@@ -1,7 +1,6 @@
 """Content-based publish/subscribe substrate: schema, subscriptions, brokers, network."""
 
 from .broker import LOCAL_INTERFACE, PROMOTION_KINDS, Broker, ForwardDecision
-from .client import Publisher, Subscriber
 from .network import (
     BrokerNetwork,
     DeliveryRecord,
@@ -10,15 +9,7 @@ from .network import (
     star_topology,
     tree_topology,
 )
-from .match_index import (
-    DEFAULT_MATCH_BACKEND,
-    DEFAULT_RUN_BUDGET,
-    MATCH_BACKEND_NAMES,
-    IndexConfig,
-    MatchIndex,
-    MatchIndexStats,
-)
-from .sharded_index import DEFAULT_SHARDS, ShardedMatchIndex
+from .match_index import DEFAULT_RUN_BUDGET, IndexConfig, MatchIndex, MatchIndexStats
 from .routing_table import (
     DEFAULT_CUBE_BUDGET,
     MATCHING_KINDS,
@@ -41,8 +32,6 @@ __all__ = [
     "PROMOTION_KINDS",
     "Broker",
     "ForwardDecision",
-    "Publisher",
-    "Subscriber",
     "BrokerNetwork",
     "DeliveryRecord",
     "PartitionAudit",
@@ -55,10 +44,6 @@ __all__ = [
     "MATCHING_KINDS",
     "MatchIndex",
     "MatchIndexStats",
-    "MATCH_BACKEND_NAMES",
-    "DEFAULT_MATCH_BACKEND",
-    "DEFAULT_SHARDS",
-    "ShardedMatchIndex",
     "ApproximateCoveringStrategy",
     "CoveringStrategy",
     "ExactCoveringStrategy",

@@ -79,13 +79,6 @@ class Broker:
         ``"probabilistic"``) applied independently per outgoing interface.
     epsilon:
         Approximation parameter for the ``"approximate"`` strategy.
-    backend:
-        Match-index backend (``"flat"`` — the default flattened segment
-        store — ``"avl"``, ``"skiplist"``, ``"sortedlist"`` or ``"sharded"``).
-        The approximate covering strategy uses the corresponding ordered-map
-        backend (``"sharded"`` maps to the flat store its shards are built on).
-    shards:
-        Shard count of the ``"sharded"`` match backend (ignored otherwise).
     matching:
         Event-matching implementation per interface table: ``"linear"`` scans
         stored subscriptions, ``"sfc"`` routes events through the SFC match
@@ -121,8 +114,6 @@ class Broker:
     schema: AttributeSchema
     covering: str = "approximate"
     epsilon: Optional[float] = None
-    backend: Optional[str] = None
-    shards: Optional[int] = None
     samples: int = 8
     seed: Optional[int] = None
     cube_budget: Optional[int] = None
@@ -146,16 +137,12 @@ class Broker:
         config = resolve_index_config(
             self.config,
             epsilon=self.epsilon,
-            backend=self.backend,
-            shards=self.shards,
             cube_budget=self.cube_budget,
             run_budget=self.run_budget,
             curve=self.curve,
         )
         self.config = config
         self.epsilon = config.epsilon
-        self.backend = config.backend
-        self.shards = config.shards
         self.cube_budget = config.cube_budget
         self.run_budget = config.run_budget
         self.curve = config.curve
@@ -201,7 +188,6 @@ class Broker:
         return RoutingTable(
             schema=self.schema,
             matching=self.matching,
-            seed=self.seed,
             config=self.config,
         )
 

@@ -164,8 +164,6 @@ class BrokerNetwork:
     schema: AttributeSchema
     covering: str = "approximate"
     epsilon: Optional[float] = None
-    backend: Optional[str] = None
-    shards: Optional[int] = None
     samples: int = 8
     seed: Optional[int] = None
     cube_budget: Optional[int] = None
@@ -188,15 +186,11 @@ class BrokerNetwork:
         self.config = resolve_index_config(
             self.config,
             epsilon=self.epsilon,
-            backend=self.backend,
-            shards=self.shards,
             cube_budget=self.cube_budget,
             run_budget=self.run_budget,
             curve=self.curve,
         )
         self.epsilon = self.config.epsilon
-        self.backend = self.config.backend
-        self.shards = self.config.shards
         self.cube_budget = self.config.cube_budget
         self.run_budget = self.config.run_budget
         self.curve = self.config.curve
@@ -307,8 +301,6 @@ class BrokerNetwork:
         edges: Iterable[Tuple[Hashable, Hashable]],
         covering: str = "approximate",
         epsilon: Optional[float] = None,
-        backend: Optional[str] = None,
-        shards: Optional[int] = None,
         samples: int = 8,
         seed: Optional[int] = None,
         cube_budget: Optional[int] = None,
@@ -336,8 +328,6 @@ class BrokerNetwork:
             schema=schema,
             covering=covering,
             epsilon=epsilon,
-            backend=backend,
-            shards=shards,
             samples=samples,
             seed=seed,
             cube_budget=cube_budget,

@@ -39,17 +39,11 @@ from ..baselines.linear_scan import LinearScanCoveringDetector
 from ..baselines.probabilistic import ProbabilisticCoveringDetector
 from ..core.covering import ApproximateCoveringDetector
 from ..geometry.universe import Universe
-from ..index.config import (
-    DEFAULT_CUBE_BUDGET,
-    INDEX_BACKEND_NAMES,
-    IndexConfig,
-    resolve_index_config,
-)
+from ..index.config import DEFAULT_CUBE_BUDGET, IndexConfig, resolve_index_config
 from ..sfc.base import SpaceFillingCurve
 from ..sfc.factory import make_curve
 from .match_index import MatchIndex, MatchIndexStats
 from .schema import AttributeSchema
-from .sharded_index import ShardedMatchIndex
 from .subscription import Event, Subscription
 
 __all__ = [
@@ -63,7 +57,6 @@ __all__ = [
     "RoutingTable",
     "DEFAULT_CUBE_BUDGET",
     "MATCHING_KINDS",
-    "ROUTING_BACKEND_NAMES",
 ]
 
 # DEFAULT_CUBE_BUDGET — the per-check work bound of the approximate covering
@@ -72,11 +65,6 @@ __all__ = [
 
 #: Event-matching implementations an interface table can use.
 MATCHING_KINDS = ("linear", "sfc")
-
-#: Match-index backends the routing layer accepts: the :class:`MatchIndex`
-#: segment stores plus ``"sharded"`` (subscription set partitioned across
-#: inline flat-backend shards, see :mod:`repro.pubsub.sharded_index`).
-ROUTING_BACKEND_NAMES = INDEX_BACKEND_NAMES
 
 
 class CoveringStrategy(Protocol):
@@ -172,13 +160,12 @@ class ApproximateCoveringStrategy:
         attributes: int,
         attribute_order: int,
         epsilon: Optional[float] = None,
-        backend: Optional[str] = None,
         cube_budget: Optional[int] = None,
         curve: Optional[str] = None,
         config: Optional[IndexConfig] = None,
     ) -> None:
         config = resolve_index_config(
-            config, epsilon=epsilon, backend=backend, cube_budget=cube_budget, curve=curve
+            config, epsilon=epsilon, cube_budget=cube_budget, curve=curve
         )
         self.config = config
         self.name = f"approx(ε={config.epsilon})"
@@ -252,7 +239,6 @@ def make_covering_strategy(
     kind: str,
     schema: AttributeSchema,
     epsilon: Optional[float] = None,
-    backend: Optional[str] = None,
     samples: int = 8,
     seed: Optional[int] = None,
     cube_budget: Optional[int] = None,
@@ -265,15 +251,13 @@ def make_covering_strategy(
     router would enforce such a bound in practice so a single subscription
     arrival cannot stall the forwarding path.  ``curve`` selects the
     space-filling curve of the approximate strategy's index (the other
-    strategies do not use one).  ``backend`` may be any routing-layer backend
-    name; composite matching backends (``"sharded"``) map to the ordered-map
-    backend their shards are built on.  ``config`` supplies all of the above
-    at once; explicit keywords override its fields.
+    strategies do not use one).  ``config`` supplies all of the above at
+    once; explicit keywords override its fields.
     """
     attributes = schema.num_attributes
     order = schema.order
     config = resolve_index_config(
-        config, epsilon=epsilon, backend=backend, cube_budget=cube_budget, curve=curve
+        config, epsilon=epsilon, cube_budget=cube_budget, curve=curve
     )
     if kind == "none":
         return NoCoveringStrategy()
@@ -295,7 +279,7 @@ class InterfaceTable:
     Event matching is pluggable: ``matching="linear"`` scans the stored
     subscriptions per event (the baseline), ``matching="sfc"`` maintains a
     :class:`~repro.pubsub.match_index.MatchIndex` so that "does anything here
-    match?" is a single ordered-map probe plus a handful of rectangle checks.
+    match?" is a single segment-store probe plus a handful of rectangle checks.
     Both give identical answers; the audit in :class:`BrokerNetwork` can be
     run under either to compare them.
 
@@ -314,17 +298,12 @@ class InterfaceTable:
         interface_id: Hashable,
         schema: Optional[AttributeSchema] = None,
         matching: str = "linear",
-        backend: Optional[str] = None,
         run_budget: Optional[int] = None,
         curve: Optional[str] = None,
-        seed: Optional[int] = None,
-        shards: Optional[int] = None,
         config: Optional[IndexConfig] = None,
         routing_curve_kind: Optional[str] = None,
     ) -> None:
-        config = resolve_index_config(
-            config, backend=backend, run_budget=run_budget, curve=curve, shards=shards
-        )
+        config = resolve_index_config(config, run_budget=run_budget, curve=curve)
         if matching not in MATCHING_KINDS:
             raise ValueError(
                 f"unknown matching kind {matching!r}; expected one of {MATCHING_KINDS}"
@@ -335,7 +314,6 @@ class InterfaceTable:
         self.matching_kind = matching
         self.schema = schema
         self.config = config
-        self._seed = seed
         self._subscriptions: Dict[Hashable, Subscription] = {}
         #: Bumped on every committed rebuild swap.
         self.generation = 0
@@ -353,7 +331,7 @@ class InterfaceTable:
             routing_curve_kind if routing_curve_kind is not None else config.curve
         )
         if matching == "sfc" and schema is not None:
-            self._index = self._make_index(config)
+            self._index = MatchIndex(schema, config=config)
         else:
             self._index = None
         self._key_ok = (
@@ -361,16 +339,9 @@ class InterfaceTable:
             and self._index.curve.kind == self._routing_curve_kind
         )
 
-    def _make_index(self, config: IndexConfig):
-        if config.backend == "sharded":
-            return ShardedMatchIndex(
-                self.schema, workers="inline", seed=self._seed, config=config
-            )
-        return MatchIndex(self.schema, seed=self._seed, config=config)
-
     @property
-    def match_index(self):
-        """The SFC match index (plain or sharded), or ``None`` under linear matching."""
+    def match_index(self) -> Optional[MatchIndex]:
+        """The SFC match index, or ``None`` under linear matching."""
         return self._index
 
     def __len__(self) -> int:
@@ -411,7 +382,7 @@ class InterfaceTable:
             raise ValueError("rebuild requires matching='sfc'")
         if self._staged is not None:
             raise ValueError("a rebuild is already staged; commit or abort it first")
-        staged = self._make_index(config)
+        staged = MatchIndex(self.schema, config=config)
         items = [
             (sub.sub_id, sub.ranges) for sub in self._subscriptions.values()
         ]
@@ -441,9 +412,6 @@ class InterfaceTable:
         retired.lookups += stats.lookups
         retired.candidates_checked += stats.candidates_checked
         retired.false_positives += stats.false_positives
-        close = getattr(old, "close", None)
-        if close is not None:
-            close()
         self._index = self._staged
         self.config = self._staged_config
         self._staged = None
@@ -457,12 +425,7 @@ class InterfaceTable:
         staged = self._staged
         self._staged = None
         self._staged_config = None
-        if staged is None:
-            return False
-        close = getattr(staged, "close", None)
-        if close is not None:
-            close()
-        return True
+        return staged is not None
 
     @property
     def staged_config(self) -> Optional[IndexConfig]:
@@ -544,16 +507,11 @@ class RoutingTable:
         self,
         schema: Optional[AttributeSchema] = None,
         matching: str = "linear",
-        backend: Optional[str] = None,
         run_budget: Optional[int] = None,
         curve: Optional[str] = None,
-        seed: Optional[int] = None,
-        shards: Optional[int] = None,
         config: Optional[IndexConfig] = None,
     ) -> None:
-        config = resolve_index_config(
-            config, backend=backend, run_budget=run_budget, curve=curve, shards=shards
-        )
+        config = resolve_index_config(config, run_budget=run_budget, curve=curve)
         if matching not in MATCHING_KINDS:
             raise ValueError(
                 f"unknown matching kind {matching!r}; expected one of {MATCHING_KINDS}"
@@ -563,11 +521,7 @@ class RoutingTable:
         self.schema = schema
         self.matching_kind = matching
         self.config = config
-        self._backend_name = config.backend
-        self._run_budget = config.run_budget
         self._curve_kind = config.curve
-        self._seed = seed
-        self._shards = config.shards
         self._tables: Dict[Hashable, InterfaceTable] = {}
         self._curve: Optional[SpaceFillingCurve] = (
             make_curve(
@@ -585,7 +539,6 @@ class RoutingTable:
                 interface_id,
                 schema=self.schema,
                 matching=self.matching_kind,
-                seed=self._seed,
                 config=self.config,
                 routing_curve_kind=self._curve_kind,
             )

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Optional, Sequence, Tuple
 
-from ..index.config import MATCH_BACKEND_NAMES, IndexConfig
+from ..index.config import IndexConfig
 
 __all__ = ["CostModel"]
 
@@ -71,26 +71,18 @@ class CostModel:
         config: IndexConfig,
         subscriptions: Sequence[Tuple[Hashable, Sequence[Tuple[int, int]]]],
         probes: Sequence[Tuple[int, ...]],
-        seed: Optional[int] = None,
     ) -> float:
         """Trial-replay score of ``config`` (lower is better).
 
         Builds a fresh index under ``config``, bulk-loads the subscription
-        sample and replays every probe.  The composite ``"sharded"`` backend
-        is scored through the flat store its shards are built on — candidate
-        sets are backend-independent, so the score carries over.
+        sample and replays every probe.
         """
         # Local import: repro.pubsub imports nothing from repro.tuning at
         # module level, so this direction is cycle-free but must stay lazy
         # enough not to fire during repro.pubsub's own package init.
         from ..pubsub.match_index import MatchIndex
 
-        trial_config = (
-            config
-            if config.backend in MATCH_BACKEND_NAMES
-            else config.replace(backend="flat")
-        )
-        index = MatchIndex(schema, seed=seed, config=trial_config)
+        index = MatchIndex(schema, config=config)
         if subscriptions:
             index.add_batch(list(subscriptions))
         for cells in probes:

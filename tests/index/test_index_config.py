@@ -8,12 +8,8 @@ import pytest
 
 from repro.index.config import (
     DEFAULT_CUBE_BUDGET,
-    DEFAULT_MATCH_BACKEND,
     DEFAULT_PRECISION_BITS,
     DEFAULT_RUN_BUDGET,
-    DEFAULT_SHARDS,
-    INDEX_BACKEND_NAMES,
-    MATCH_BACKEND_NAMES,
     PRECISION_BIT_BUDGET,
     IndexConfig,
     resolve_index_config,
@@ -32,23 +28,28 @@ class TestValidation:
     def test_defaults_are_valid(self):
         config = IndexConfig()
         assert config.curve == "zorder"
-        assert config.backend == DEFAULT_MATCH_BACKEND
         assert config.run_budget == DEFAULT_RUN_BUDGET
         assert config.cube_budget == DEFAULT_CUBE_BUDGET
-        assert config.shards == DEFAULT_SHARDS
+
+    def test_fields_are_the_six_knobs(self):
+        assert [f.name for f in dataclasses.fields(IndexConfig)] == [
+            "curve",
+            "precision_bits",
+            "precision_bit_budget",
+            "run_budget",
+            "cube_budget",
+            "epsilon",
+        ]
+
+    @pytest.mark.parametrize("kwargs", [{"backend": "avl"}, {"shards": 2}])
+    def test_removed_storage_knobs_are_rejected(self, kwargs):
+        # There is one segment store, so no knob selects or splits it.
+        with pytest.raises(TypeError):
+            IndexConfig(**kwargs)
 
     def test_unknown_curve_uses_canonical_message(self):
         with pytest.raises(ValueError, match="unknown curve kind"):
             IndexConfig(curve="peano")
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            IndexConfig(backend="btree")
-
-    def test_sharded_is_a_valid_index_backend(self):
-        assert "sharded" in INDEX_BACKEND_NAMES
-        assert "sharded" not in MATCH_BACKEND_NAMES
-        assert IndexConfig(backend="sharded").backend == "sharded"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -59,7 +60,6 @@ class TestValidation:
             {"cube_budget": 0},
             {"epsilon": -0.1},
             {"epsilon": 1.0},
-            {"shards": 0},
         ],
     )
     def test_out_of_range_knobs_raise(self, kwargs):
@@ -136,15 +136,13 @@ class TestKeys:
             IndexConfig(run_budget=8),
             IndexConfig(cube_budget=99),
             IndexConfig(epsilon=0.2),
-            IndexConfig(backend="avl"),
-            IndexConfig(shards=2),
         ]
         keys = {base.cache_key()} | {v.cache_key() for v in variants}
         assert len(keys) == len(variants) + 1
 
     def test_covering_key_ignores_storage_knobs(self):
-        a = IndexConfig(backend="flat", run_budget=8, shards=2)
-        b = IndexConfig(backend="avl", run_budget=64, shards=8)
+        a = IndexConfig(precision_bits=3, run_budget=8)
+        b = IndexConfig(precision_bits=5, run_budget=64)
         assert a.covering_key() == b.covering_key()
         assert (
             a.covering_key()
@@ -169,7 +167,6 @@ class TestReExports:
         from repro.pubsub import match_index
 
         assert match_index.IndexConfig is IndexConfig
-        assert match_index.MATCH_BACKEND_NAMES is MATCH_BACKEND_NAMES
         assert match_index.DEFAULT_RUN_BUDGET == DEFAULT_RUN_BUDGET
         assert match_index.PRECISION_BIT_BUDGET == PRECISION_BIT_BUDGET
 
@@ -181,9 +178,7 @@ class TestReExports:
         assert pubsub_pkg.IndexConfig is IndexConfig
         assert index_pkg.resolve_index_config is resolve_index_config
 
-    def test_routing_and_sharded_reexports(self):
+    def test_routing_reexports(self):
         from repro.pubsub.routing_table import DEFAULT_CUBE_BUDGET as rt_budget
-        from repro.pubsub.sharded_index import DEFAULT_SHARDS as si_shards
 
         assert rt_budget == DEFAULT_CUBE_BUDGET
-        assert si_shards == DEFAULT_SHARDS

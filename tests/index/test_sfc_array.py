@@ -1,4 +1,4 @@
-"""Tests for the SFC array (repro.index.sfc_array) across all backends."""
+"""Tests for the SFC array (repro.index.sfc_array)."""
 
 from __future__ import annotations
 
@@ -7,34 +7,24 @@ import random
 import pytest
 
 from repro.geometry.universe import Universe
-from repro.index.backends import BACKEND_NAMES, make_backend
+from repro.index.backends import FlatBackend
 from repro.index.sfc_array import SFCArray
-from repro.sfc.zorder import ZOrderCurve
+from repro.sfc.factory import CURVE_KINDS, make_curve
+
+# "buffered" leaves small maps in the flat store's pending buffer; "eager"
+# merges on every insert, so probes run against the sorted main array and
+# deletes go through tombstones and compaction.
+STORE_MODES = ("buffered", "eager")
 
 
-@pytest.fixture(params=BACKEND_NAMES)
-def array(request):
+@pytest.fixture(params=[(c, m) for c in CURVE_KINDS for m in STORE_MODES],
+                ids=lambda p: f"{p[0]}-{p[1]}")
+def array(request, monkeypatch):
+    curve_kind, mode = request.param
+    if mode == "eager":
+        monkeypatch.setattr(FlatBackend, "_pending_cap", lambda self: 0)
     universe = Universe(dims=2, order=5)
-    return SFCArray(ZOrderCurve(universe), backend=request.param, seed=1)
-
-
-class TestBackendFactory:
-    def test_all_names_construct(self):
-        for name in BACKEND_NAMES:
-            backend = make_backend(name)
-            backend.insert(3, "x")
-            assert backend.get(3) == "x"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            make_backend("btree")
-
-    def test_backend_instance_passthrough(self):
-        universe = Universe(dims=2, order=3)
-        backend = make_backend("sortedlist")
-        array = SFCArray(ZOrderCurve(universe), backend=backend)
-        array.add("a", (1, 1))
-        assert len(array) == 1
+    return SFCArray(make_curve(curve_kind, universe))
 
 
 class TestSFCArrayUpdates:
@@ -126,26 +116,25 @@ class TestSFCArrayQueries:
         assert len(keys) == 2
 
 
-class TestSFCArrayConsistencyAcrossBackends:
-    def test_same_results_for_all_backends(self):
+class TestSFCArrayAgainstOracle:
+    @pytest.mark.parametrize("curve_kind", CURVE_KINDS)
+    def test_range_scans_match_brute_force(self, curve_kind):
         universe = Universe(dims=2, order=6)
-        curve = ZOrderCurve(universe)
+        curve = make_curve(curve_kind, universe)
         rng = random.Random(11)
         points = [(rng.randint(0, 63), rng.randint(0, 63)) for _ in range(200)]
         ranges = [
             tuple(sorted((rng.randint(0, universe.max_key), rng.randint(0, universe.max_key))))
             for _ in range(50)
         ]
-        results = []
-        for backend in BACKEND_NAMES:
-            array = SFCArray(curve, backend=backend, seed=2)
-            for i, p in enumerate(points):
-                array.add(i, p)
-            for i in range(0, 200, 3):
-                array.remove(i)
-            answer = []
-            for key_range in ranges:
-                items = sorted(item.item_id for item in array.items_in_key_range(key_range))
-                answer.append(items)
-            results.append(answer)
-        assert results[0] == results[1] == results[2]
+        array = SFCArray(curve)
+        for i, p in enumerate(points):
+            array.add(i, p)
+        for i in range(0, 200, 3):
+            array.remove(i)
+        live = {i: curve.key(p) for i, p in enumerate(points) if i % 3}
+        for lo, hi in ranges:
+            items = sorted(item.item_id for item in array.items_in_key_range((lo, hi)))
+            assert items == sorted(i for i, key in live.items() if lo <= key <= hi)
+            hit = array.first_in_key_range((lo, hi))
+            assert (hit is None) == (not items)

@@ -14,7 +14,6 @@ import pytest
 
 from repro.baselines.linear_scan import LinearScanCoveringDetector
 from repro.core.covering import ApproximateCoveringDetector
-from repro.pubsub.client import Publisher, Subscriber
 from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.pubsub.subscription import Event, Subscription
 from repro.workloads.generators import covering_chain
@@ -159,11 +158,20 @@ class TestClientLevelScenario:
         network = BrokerNetwork.from_topology(
             schema, tree_topology(3), covering="approximate", epsilon=0.1, cube_budget=5_000
         )
-        trader = Subscriber(network, broker_id=2, client_id="trader")
-        trader.subscribe({"price": (0.0, 95.0), "volume": (500.0, 1_000_000.0)})
-        desk = Publisher(network, broker_id=0, client_id="desk")
-        matching = desk.publish({"price": 88.0, "volume": 1000.0, "change_pct": 0.5}, event_id="ibm")
-        non_matching = desk.publish({"price": 120.0, "volume": 1000.0, "change_pct": 0.5}, event_id="big")
-        assert trader.received_events() == ["ibm"]
-        assert trader.would_match(matching)
-        assert not trader.would_match(non_matching)
+        trader = Subscription(
+            schema, {"price": (0.0, 95.0), "volume": (500.0, 1_000_000.0)}
+        )
+        network.subscribe(2, "trader", trader)
+        matching = Event(
+            schema, {"price": 88.0, "volume": 1000.0, "change_pct": 0.5}, event_id="ibm"
+        )
+        non_matching = Event(
+            schema, {"price": 120.0, "volume": 1000.0, "change_pct": 0.5}, event_id="big"
+        )
+        network.publish(0, matching)
+        network.publish(0, non_matching)
+        assert [
+            r.event_id for r in network.deliveries if r.client_id == "trader"
+        ] == ["ibm"]
+        assert trader.matches(matching)
+        assert not trader.matches(non_matching)

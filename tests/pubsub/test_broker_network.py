@@ -7,9 +7,9 @@ import random
 import pytest
 
 from repro.pubsub.broker import Broker
-from repro.pubsub.client import Publisher, Subscriber
 from repro.pubsub.network import (
     BrokerNetwork,
+    DeliveryRecord,
     chain_topology,
     star_topology,
     tree_topology,
@@ -343,30 +343,35 @@ class TestPublishBatchRegression:
         assert batch_stats.summary_rows() == seq_stats.summary_rows()
 
 
+def received_events(network, client_id):
+    return [r.event_id for r in network.deliveries if r.client_id == client_id]
+
+
 class TestClients:
     def test_subscriber_and_publisher_flow(self, schema):
         network = make_network(schema)
-        alice = Subscriber(network, broker_id=4, client_id="alice")
-        alice.subscribe({"x": (0.0, 50.0)})
-        publisher = Publisher(network, broker_id=0)
-        event = publisher.publish({"x": 10.0, "y": 10.0}, event_id="e-1")
-        assert alice.received_events() == ["e-1"]
-        assert alice.would_match(event)
-        assert publisher.published == [event]
+        subscription = Subscription(schema, {"x": (0.0, 50.0)})
+        network.subscribe(4, "alice", subscription)
+        event = Event(schema, {"x": 10.0, "y": 10.0}, event_id="e-1")
+        assert network.publish(0, event) == {"alice"}
+        assert received_events(network, "alice") == ["e-1"]
+        assert subscription.matches(event)
+        assert network.deliveries == [
+            DeliveryRecord("alice", subscription.sub_id, "e-1")
+        ]
 
     def test_subscriber_multiple_subscriptions_single_delivery(self, schema):
         network = make_network(schema)
-        alice = Subscriber(network, broker_id=2, client_id="alice")
-        alice.subscribe({"x": (0.0, 50.0)})
-        alice.subscribe({"y": (0.0, 50.0)})
-        publisher = Publisher(network, broker_id=0)
-        publisher.publish({"x": 10.0, "y": 10.0}, event_id="both")
+        network.subscribe(2, "alice", Subscription(schema, {"x": (0.0, 50.0)}))
+        network.subscribe(2, "alice", Subscription(schema, {"y": (0.0, 50.0)}))
+        network.publish(0, Event(schema, {"x": 10.0, "y": 10.0}, event_id="both"))
         # The event matches both subscriptions but is delivered once.
-        assert alice.received_events() == ["both"]
+        assert received_events(network, "alice") == ["both"]
 
     def test_publisher_event_ids_auto_assigned(self, schema):
         network = make_network(schema)
-        publisher = Publisher(network, broker_id=0)
-        e1 = publisher.publish({"x": 1.0, "y": 1.0})
-        e2 = publisher.publish({"x": 2.0, "y": 2.0})
+        e1 = Event(schema, {"x": 1.0, "y": 1.0})
+        e2 = Event(schema, {"x": 2.0, "y": 2.0})
+        network.publish(0, e1)
+        network.publish(0, e2)
         assert e1.event_id != e2.event_id

@@ -2,10 +2,10 @@
 
 The contract under test: ``matching="sfc"`` must be behaviourally identical to
 the linear scan — same ``any_match`` answers, same matched subscription sets,
-same network deliveries — while answering each event with a single ordered-map
-probe.  Soundness must survive the run-budget over-approximation (the
-rectangle fallback check) and arbitrary add/remove churn (segment splitting
-and re-coalescing).
+same network deliveries — while answering each event with a single
+segment-store probe.  Soundness must survive the run-budget
+over-approximation (the rectangle fallback check) and arbitrary add/remove
+churn (pending buffers, tombstones and rebuilds).
 """
 
 from __future__ import annotations

@@ -36,13 +36,13 @@ def _schema():
     )
 
 
-# Swap targets deliberately span curves, run budgets and backends — including
+# Swap targets deliberately span curves and run budgets — including
 # a curve different from the routing table's, exercising the key-compat path.
 SWAP_CONFIGS = [
     IndexConfig(curve="hilbert", run_budget=4),
     IndexConfig(curve="gray", run_budget=2),
     IndexConfig(curve="zorder", run_budget=1),
-    IndexConfig(curve="hilbert", backend="avl", run_budget=8),
+    IndexConfig(curve="hilbert", run_budget=8),
 ]
 
 _ops = st.lists(
@@ -276,7 +276,7 @@ def test_tuned_network_digest_pin():
         run_scripted_lockstep(network, script)
         digests.add(_digest(network.routing_state()))
         swaps = tuner.counters()["swaps"]
-    # Same digest as the backend and curve pins in test_backend_parity /
+    # Same digest as the store and curve pins in test_match_oracle /
     # test_seed_determinism: routing state is forwarding decisions, which
     # tuning never changes — only the per-interface index work differs.
     assert digests == {"2560e8cf4abaa55a"}

@@ -12,7 +12,6 @@ import random
 import pytest
 
 from repro.pubsub.broker import LOCAL_INTERFACE
-from repro.pubsub.client import Publisher, Subscriber
 from repro.pubsub.network import BrokerNetwork, chain_topology, tree_topology
 from repro.pubsub.schema import Attribute, AttributeSchema
 from repro.pubsub.subscription import Event, Subscription
@@ -56,14 +55,15 @@ class TestBasicUnsubscription:
 
     def test_subscriber_client_unsubscribe(self, schema):
         network = make_network(schema)
-        alice = Subscriber(network, broker_id=3, client_id="alice")
-        sub = alice.subscribe({"x": (0.0, 50.0)})
-        publisher = Publisher(network, broker_id=0)
-        publisher.publish({"x": 10.0, "y": 10.0}, event_id="before")
-        assert alice.unsubscribe(sub)
-        assert alice.subscriptions == []
-        publisher.publish({"x": 10.0, "y": 10.0}, event_id="after")
-        assert alice.received_events() == ["before"]
+        sub = Subscription(schema, {"x": (0.0, 50.0)})
+        network.subscribe(3, "alice", sub)
+        network.publish(0, Event(schema, {"x": 10.0, "y": 10.0}, event_id="before"))
+        assert network.unsubscribe("alice", sub.sub_id)
+        assert network.routing_table_entries() == 0
+        network.publish(0, Event(schema, {"x": 10.0, "y": 10.0}, event_id="after"))
+        assert [
+            r.event_id for r in network.deliveries if r.client_id == "alice"
+        ] == ["before"]
 
 
 class TestCoveringAwareWithdrawal:

@@ -78,15 +78,6 @@ class TestCostModel:
         scores = {model.evaluate(schema, config, subs, probes) for _ in range(3)}
         assert len(scores) == 1
 
-    def test_evaluate_scores_sharded_via_flat(self):
-        schema = _schema(order=6)
-        model = CostModel()
-        flat = model.evaluate(schema, IndexConfig(backend="flat"), [], [(1, 1)])
-        sharded = model.evaluate(
-            schema, IndexConfig(backend="sharded"), [], [(1, 1)]
-        )
-        assert flat == sharded
-
 
 class TestCandidates:
     def test_default_candidates_cover_curves_and_budgets(self):
