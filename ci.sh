@@ -156,6 +156,10 @@ echo "== numpy-free fallback tier-1 (REPRO_NO_NUMPY=1) =="
 REPRO_NO_NUMPY=1 HYPOTHESIS_PROFILE=smoke python -m pytest -x -q tests
 
 echo "== example smoke (tiny sizes) =="
+# Every runnable example, so an API change that breaks one fails here.
+REPRO_BENCH_SMOKE=1 python examples/quickstart.py > /dev/null
+REPRO_BENCH_SMOKE=1 python examples/stock_market_pubsub.py > /dev/null
+REPRO_BENCH_SMOKE=1 python examples/aspect_ratio_study.py > /dev/null
 REPRO_BENCH_SMOKE=1 python examples/broker_network_simulation.py > /dev/null
 REPRO_BENCH_SMOKE=1 python examples/sim_latency_churn.py > /dev/null
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 
 from repro.analysis.reporting import format_table
-from repro.pubsub import BrokerNetwork, Event, Subscription, tree_topology
+from repro.pubsub import BrokerNetwork, Event, IndexConfig, Subscription, tree_topology
 from repro.workloads.scenarios import stock_market_scenario
 
 
@@ -27,7 +27,8 @@ def motivating_example() -> None:
     schema = scenario.schema
 
     network = BrokerNetwork.from_topology(
-        schema, tree_topology(5), covering="approximate", epsilon=0.05, cube_budget=5_000
+        schema, tree_topology(5), covering="approximate",
+        config=IndexConfig(cube_budget=5_000, epsilon=0.05)
     )
     trader = Subscription(schema, {"volume": (500.0, 1_000_000.0), "price": (0.0, 95.0)})
     network.subscribe(4, "ibm-trader", trader)
@@ -58,8 +59,7 @@ def trader_workload() -> None:
             scenario.schema,
             tree_topology(9),
             covering=covering,
-            epsilon=0.25,
-            cube_budget=4_000,
+            config=IndexConfig(cube_budget=4_000, epsilon=0.25),
             seed=1,
         )
         for i, constraints in enumerate(scenario.subscriptions):

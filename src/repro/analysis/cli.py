@@ -217,6 +217,7 @@ def _run_serve(
     ``SERVING`` once every server accepts connections, then blocks until a
     client sends a ``shutdown`` command (see :class:`repro.net.NetClient`).
     """
+    from ..index.config import IndexConfig
     from ..net import NetTransport, serve_network
     from ..obs.registry import MetricsRegistry
     from ..pubsub.network import (
@@ -235,7 +236,7 @@ def _run_serve(
         schema,
         builders[topology](brokers),
         covering=covering,
-        curve=curve,
+        config=IndexConfig(curve=curve),
         seed=seed,
         transport=NetTransport(host=host),
         metrics=MetricsRegistry(enabled=True),

@@ -34,6 +34,7 @@ from ..core.decomposition import (
 )
 from ..geometry.rect import ExtremalRectangle, Rectangle
 from ..geometry.universe import Universe
+from ..index.config import IndexConfig
 from ..index.kdtree import KDTree
 from ..index.range_tree import RangeTree
 from ..obs.exposition import snapshot as metrics_snapshot
@@ -517,11 +518,9 @@ def run_pubsub_experiment(
             schema,
             tree_topology(num_brokers),
             covering=strategy,
-            epsilon=epsilon,
+            config=IndexConfig(curve=curve, cube_budget=cube_budget, epsilon=epsilon),
             seed=seed,
-            cube_budget=cube_budget,
             matching=matching,
-            curve=curve,
         )
         start = time.perf_counter()
         for spec, broker_id in zip(specs, placements):
@@ -625,10 +624,9 @@ def run_metrics_scenario(
         schema,
         tree_topology(num_brokers),
         covering="approximate",
-        epsilon=epsilon,
+        config=IndexConfig(curve=curve, epsilon=epsilon),
         seed=seed,
         matching=matching,
-        curve=curve,
         transport=SimTransport(seed=seed),
         metrics=MetricsRegistry(),
         tracing=TraceLog(capacity=trace_capacity, seed=seed),
@@ -676,6 +674,19 @@ def run_metrics_scenario(
     )
 
 
+#: Sequential churn timings, in seconds, of the broker that predates the batch
+#: fast path (every covering query re-derived per link, every forwarded
+#: withdrawal re-checking the link's whole suppressed set), keyed by
+#: ``(subscriptions, withdrawals)``: ``(subscribe_s, withdraw_s)``.  Recorded
+#: with this driver's default workload in
+#: ``benchmarks/results/subscription_churn.txt`` before that broker was removed
+#: from the package.
+LEGACY_CHURN_SECONDS: Dict[Tuple[int, int], Tuple[float, float]] = {
+    (10_000, 240): (21.494, 135.07),
+    (50_000, 240): (111.52, 600.27),
+}
+
+
 # --------------------------------------------------------------------- event matching
 def run_subscription_churn_experiment(
     sizes: Sequence[int] = (10_000, 50_000),
@@ -694,32 +705,28 @@ def run_subscription_churn_experiment(
     seed: int = 11,
     verify_state: bool = False,
 ) -> ResultTable:
-    """E-SUB-CHURN: batched subscription churn vs the per-subscription baseline.
+    """E-SUB-CHURN: batched subscription churn vs the recorded per-subscription baseline.
 
     Two row kinds:
 
     * ``phase="churn"`` — for each size, the same wide/narrow workload is
       subscribed and then partially withdrawn (a slice of broad covers plus a
       slice of narrow subscriptions, so the withdrawal-promotion path runs
-      hard; ``max_cover_withdrawals`` bounds the *baseline's* rescan blow-up,
-      which is quadratic in practice — 300 cover withdrawals at 50k
-      subscriptions put the legacy engine beyond an hour) on
-      a broker tree, once through the legacy per-subscription path
-      (``promotion="rescan"``, ``profile_sharing=False`` — the pre-fast-path
-      broker, which re-derives each covering query's geometry per link and
-      re-checks the whole suppressed set per withdrawal) and once through
-      ``subscribe_batch`` / ``unsubscribe_batch`` with profile sharing and
-      incremental promotion.  The row reports both phase timings and the
-      combined speedup.
+      hard) on a broker tree through ``subscribe_batch`` /
+      ``unsubscribe_batch``.  Where :data:`LEGACY_CHURN_SECONDS` holds a
+      recorded baseline for the row's size and withdrawal count, the row
+      also reports those timings and the speedups against them.  They are
+      fixed numbers, not live measurements, so the speedups are only
+      meaningful on hardware comparable to the machine that recorded them.
     * ``phase="audit"`` — the fast path's post-churn delivery audit on every
       (topology × transport) pair: after the batch churn settles, probe
       events published across the overlay must reach exactly the surviving
       matching subscribers (``missed`` must be 0 everywhere; the fast path
       may only ever *suppress more*, never lose).
 
-    With ``verify_state=True`` (the CI smoke pass) every churn comparison
+    With ``verify_state=True`` (the CI smoke pass) every churn row
     additionally replays the batch workload through sequential
-    ``subscribe`` / ``unsubscribe`` calls under identical flags and asserts
+    ``subscribe`` / ``unsubscribe`` calls and asserts
     the two runs leave byte-identical normalised routing state — the batch
     API is pinned to be a pure amortisation.
     """
@@ -733,7 +740,7 @@ def run_subscription_churn_experiment(
         "chain": chain_topology,
         "star": star_topology,
     }
-    table = ResultTable("E-SUB-CHURN: subscription churn, batch fast path vs baseline")
+    table = ResultTable("E-SUB-CHURN: subscription churn, batch fast path vs recorded baseline")
     schema = _default_schema(order)
 
     def build_workload(size: int):
@@ -752,9 +759,9 @@ def run_subscription_churn_experiment(
         placement = {
             sub.sub_id: rng.randrange(num_brokers) for sub in subscriptions
         }
-        # Per-broker batches in arrival order; the sequential baseline replays
-        # the same flattened order so covering decisions see identical
-        # arrival sequences.
+        # Per-broker batches in arrival order; the sequential replay uses the
+        # same flattened order so covering decisions see identical arrival
+        # sequences.
         batches: Dict[int, List[Tuple[str, Subscription]]] = {}
         for sub in subscriptions:
             batches.setdefault(placement[sub.sub_id], []).append(
@@ -773,7 +780,7 @@ def run_subscription_churn_experiment(
         kills = [pair for group in kill_groups.values() for pair in group]
         return batches, kills
 
-    def make_network(topology: str, transport: str, promotion: str, sharing: bool):
+    def make_network(topology: str, transport: str):
         if transport == "sim":
             transport_obj = SimTransport(
                 make_latency_model("fixed", delay=0.01), seed=seed
@@ -784,11 +791,7 @@ def run_subscription_churn_experiment(
             schema,
             topology_builders[topology](num_brokers),
             covering="approximate",
-            epsilon=epsilon,
-            cube_budget=cube_budget,
-            curve=curve,
-            promotion=promotion,
-            profile_sharing=sharing,
+            config=IndexConfig(curve=curve, cube_budget=cube_budget, epsilon=epsilon),
             transport=transport_obj,
         )
 
@@ -819,12 +822,10 @@ def run_subscription_churn_experiment(
     # ------------------------------------------------------- churn comparison
     for size in sizes:
         batches, kills = build_workload(size)
-        legacy = make_network("tree", "sync", promotion="rescan", sharing=False)
-        legacy_subscribe, legacy_withdraw = run_sequential(legacy, batches, kills)
-        fast = make_network("tree", "sync", promotion="incremental", sharing=True)
+        fast = make_network("tree", "sync")
         fast_subscribe, fast_withdraw = run_batch(fast, batches, kills)
         if verify_state:
-            replay = make_network("tree", "sync", promotion="incremental", sharing=True)
+            replay = make_network("tree", "sync")
             run_sequential(replay, batches, kills)
             if replay.routing_state() != fast.routing_state():
                 raise AssertionError(
@@ -832,22 +833,32 @@ def run_subscription_churn_experiment(
                     f"at size {size}"
                 )
         stats = fast.collect_stats()
-        legacy_total = legacy_subscribe + legacy_withdraw
-        fast_total = fast_subscribe + fast_withdraw
+        baseline = {}
+        recorded = LEGACY_CHURN_SECONDS.get((size, len(kills)))
+        if recorded is not None:
+            legacy_subscribe, legacy_withdraw = recorded
+            fast_total = fast_subscribe + fast_withdraw
+            baseline = dict(
+                legacy_subscribe_s=legacy_subscribe,
+                legacy_withdraw_s=legacy_withdraw,
+                speedup=(
+                    round((legacy_subscribe + legacy_withdraw) / fast_total, 2)
+                    if fast_total
+                    else 0.0
+                ),
+                withdraw_speedup=(
+                    round(legacy_withdraw / fast_withdraw, 2) if fast_withdraw else 0.0
+                ),
+            )
         table.add(
             phase="churn",
             subscriptions=size,
             topology="tree",
             transport="sync",
             withdrawals=len(kills),
-            legacy_subscribe_s=round(legacy_subscribe, 3),
-            legacy_withdraw_s=round(legacy_withdraw, 3),
             fast_subscribe_s=round(fast_subscribe, 3),
             fast_withdraw_s=round(fast_withdraw, 3),
-            speedup=round(legacy_total / fast_total, 2) if fast_total else 0.0,
-            withdraw_speedup=(
-                round(legacy_withdraw / fast_withdraw, 2) if fast_withdraw else 0.0
-            ),
+            **baseline,
             promotions=stats.total_promotions,
             batch_covering_checks=stats.total_batch_covering_checks,
             profile_cache_hits=stats.profile_cache_hits,
@@ -872,7 +883,7 @@ def run_subscription_churn_experiment(
     rng = _random.Random(seed + 4)
     for topology in topologies:
         for transport in transports:
-            network = make_network(topology, transport, "incremental", True)
+            network = make_network(topology, transport)
             run_batch(network, batches, kills)
             missed_total = extra_total = 0
             for event in events:
@@ -943,8 +954,7 @@ def run_event_matching_experiment(
             "bench",
             schema=schema,
             matching="sfc",
-            run_budget=run_budget,
-            curve=curve,
+            config=IndexConfig(curve=curve, run_budget=run_budget),
         )
         subscriptions = _spec_subscriptions(schema, specs)
         for subscription in subscriptions:
@@ -1080,10 +1090,8 @@ def run_curve_ablation_experiment(
                 schema,
                 tree_topology(num_brokers),
                 covering="approximate",
-                epsilon=epsilon,
-                cube_budget=cube_budget,
+                config=IndexConfig(curve=curve, cube_budget=cube_budget, epsilon=epsilon),
                 matching="sfc",
-                curve=curve,
             )
             start = time.perf_counter()
             for broker_id, items in batches.items():
@@ -1372,9 +1380,8 @@ def run_sim_latency_experiment(
                 scenario.schema,
                 topology_builders[topo_kind](num_brokers),
                 covering="approximate",
-                epsilon=epsilon,
+                config=IndexConfig(curve=curve, epsilon=epsilon),
                 matching=matching,
-                curve=curve,
                 transport=transport,
             )
             report = run_dynamic_scenario(
@@ -1448,9 +1455,8 @@ def run_topology_scale_experiment(
             scenario.schema,
             topology.overlay,
             covering="approximate",
-            epsilon=epsilon,
+            config=IndexConfig(curve=curve, epsilon=epsilon),
             matching=matching,
-            curve=curve,
             transport=transport,
             nodes=topology.broker_ids,
         )
@@ -1572,7 +1578,9 @@ def run_match_scale_experiment(
     ]
     combos = 0
     for curve in CURVE_KINDS:
-        index = MatchIndex(schema, curve=curve, precision_bits=precision_bits)
+        index = MatchIndex(
+            schema, config=IndexConfig(curve=curve, precision_bits=precision_bits)
+        )
         index.add_batch(parity_items)
         got = [sorted(ids) for ids in index.matching_ids_batch(parity_cells)]
         if got != oracle:
@@ -1608,7 +1616,7 @@ def run_match_scale_experiment(
             (event_rng.randrange(side), event_rng.randrange(side))
             for _ in range(num_events)
         ]
-        index = MatchIndex(schema, precision_bits=precision_bits)
+        index = MatchIndex(schema, config=IndexConfig(precision_bits=precision_bits))
         start = time.perf_counter()
         index.add_batch(items)
         build_seconds = time.perf_counter() - start
@@ -1696,7 +1704,6 @@ def run_auto_tuning_experiment(
     """
     import random as _random
 
-    from ..index.config import IndexConfig
     from ..workloads.scenarios import (
         auction_scenario,
         sensor_network_scenario,
@@ -1743,10 +1750,9 @@ def run_auto_tuning_experiment(
                 schema,
                 tree_topology(num_brokers),
                 covering="approximate",
-                epsilon=epsilon,
                 matching="sfc",
                 seed=seed,
-                config=config,
+                config=config.replace(epsilon=epsilon),
             )
             tuner = (
                 network.attach_tuner(

@@ -39,7 +39,14 @@ __all__ = [
     "CoveringProfile",
     "CoveringProfiler",
     "CoveringResult",
+    "STANDALONE_CUBE_BUDGET",
 ]
+
+#: ε-cube budget of an :class:`ApproximateCoveringDetector` built from
+#: keywords alone (no ``config``).  The standalone detector is the paper's
+#: offline API, so it gets a budget far above the routing default
+#: (``IndexConfig().cube_budget``) that bounds per-probe work in a broker.
+STANDALONE_CUBE_BUDGET = 1_000_000
 
 
 @dataclass
@@ -83,37 +90,18 @@ class CoveringProfile:
 class CoveringProfiler:
     """Builds :class:`CoveringProfile` objects compatible with a detector config.
 
-    One profiler per broker: it mirrors the parameters every per-link
-    :class:`ApproximateCoveringDetector` of that broker was built with
-    (attribute count/order, ε, cube budget, curve), so its profiles can be
-    handed to any of them.
+    One profiler per network (or broker): it is built from the same
+    attribute count/order and :class:`~repro.index.config.IndexConfig` (ε,
+    cube budget, curve) as every per-link :class:`ApproximateCoveringDetector`
+    it serves, so its profiles can be handed to any of them.
     """
 
-    #: Offline default ε-cube budget of a broker-level profiler; far larger
-    #: than the routing default because the profiler runs once per stored
-    #: subscription, not once per covering probe.
-    DEFAULT_PROFILER_CUBE_BUDGET = 1_000_000
-
     def __init__(
-        self,
-        attributes: int,
-        attribute_order: int,
-        epsilon: Optional[float] = None,
-        cube_budget: Optional[int] = None,
-        curve: Optional[str] = None,
-        config: Optional[IndexConfig] = None,
+        self, attributes: int, attribute_order: int, config: IndexConfig = IndexConfig()
     ) -> None:
-        if config is None and cube_budget is None:
-            cube_budget = self.DEFAULT_PROFILER_CUBE_BUDGET
-        config = resolve_index_config(
-            config, epsilon=epsilon, cube_budget=cube_budget, curve=curve
-        )
         self.config = config
         self.attributes = attributes
         self.attribute_order = attribute_order
-        self.epsilon = config.epsilon
-        self.cube_budget = config.cube_budget
-        self.curve = config.curve
         self.transform = DominanceTransform(attributes, attribute_order)
         self._curve = make_curve(config.curve, self.transform.universe)
 
@@ -142,8 +130,8 @@ class CoveringProfiler:
         plan = build_dominance_plan(
             self.transform.universe,
             point,
-            epsilon=self.epsilon,
-            cube_budget=self.cube_budget,
+            epsilon=self.config.epsilon,
+            cube_budget=self.config.cube_budget,
             curve=self._curve,
             config=self.config,
         )
@@ -168,6 +156,16 @@ class ApproximateCoveringDetector:
         Space-filling-curve kind keying the dominance index
         (:data:`~repro.sfc.factory.CURVE_KINDS`); any recursive-partitioning
         curve gives the same answers, only the probe key ranges differ.
+    config:
+        Optional :class:`~repro.index.config.IndexConfig` the keywords above
+        override.
+
+    The cube budget has two defaults.  Without ``config`` and
+    ``cube_budget`` the detector uses :data:`STANDALONE_CUBE_BUDGET`
+    (1,000,000), so ``ApproximateCoveringDetector(2, 10).cube_budget ==
+    1_000_000``.  With a ``config`` it uses that config's budget, whose
+    default is the routing bound: ``ApproximateCoveringDetector(2, 10,
+    config=IndexConfig()).cube_budget == 2_000``.
     """
 
     attributes: int
@@ -181,7 +179,7 @@ class ApproximateCoveringDetector:
 
     def __post_init__(self) -> None:
         if self.config is None and self.cube_budget is None:
-            self.cube_budget = CoveringProfiler.DEFAULT_PROFILER_CUBE_BUDGET
+            self.cube_budget = STANDALONE_CUBE_BUDGET
         config = resolve_index_config(
             self.config,
             epsilon=self.epsilon,

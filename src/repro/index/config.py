@@ -102,7 +102,8 @@ class IndexConfig:
             raise ValueError(
                 f"precision bit budget {self.precision_bit_budget} yields 0 "
                 f"bits per dimension over a {dims}-dimensional universe; pass "
-                f"an explicit precision_bits >= 1 (or raise the budget)"
+                f"IndexConfig(precision_bits=...) with a value >= 1 (or raise "
+                f"IndexConfig(precision_bit_budget=...))"
             )
         return min(DEFAULT_PRECISION_BITS, derived)
 
@@ -148,15 +149,13 @@ class IndexConfig:
 def resolve_index_config(
     config: Optional[IndexConfig] = None, **overrides: Any
 ) -> IndexConfig:
-    """Merge keyword sugar into a base config.
+    """Merge per-knob keyword arguments into a base config.
 
-    Every constructor in the stack keeps its historical keyword arguments
-    (``curve=``, ``run_budget=`` …) as sugar over
-    :class:`IndexConfig`; they funnel through here. ``None`` overrides mean
-    "not specified" and leave the base value alone — except
-    ``precision_bits``, where ``None`` is itself the meaningful
-    derive-from-budget default and is therefore only applied when the caller
-    passed the keyword at all (callers simply omit it from ``overrides``).
+    The routing stack takes ``config=`` only.  The paper's standalone
+    covering detector (:class:`~repro.core.covering.ApproximateCoveringDetector`)
+    keeps its Sec. 4 keyword API (``epsilon=``, ``cube_budget=``,
+    ``curve=``) and funnels it through here.  ``None`` overrides mean "not
+    specified" and leave the base value alone.
     """
     base = config if config is not None else IndexConfig()
     applied = {k: v for k, v in overrides.items() if v is not None}

@@ -1,6 +1,7 @@
 """Content-based publish/subscribe substrate: schema, subscriptions, brokers, network."""
 
-from .broker import LOCAL_INTERFACE, PROMOTION_KINDS, Broker, ForwardDecision
+from ..index.config import IndexConfig
+from .broker import LOCAL_INTERFACE, Broker, ForwardDecision
 from .network import (
     BrokerNetwork,
     DeliveryRecord,
@@ -9,9 +10,8 @@ from .network import (
     star_topology,
     tree_topology,
 )
-from .match_index import DEFAULT_RUN_BUDGET, IndexConfig, MatchIndex, MatchIndexStats
+from .match_index import MatchIndex, MatchIndexStats
 from .routing_table import (
-    DEFAULT_CUBE_BUDGET,
     MATCHING_KINDS,
     ApproximateCoveringStrategy,
     CoveringStrategy,
@@ -29,7 +29,6 @@ from .subscription_store import ProfileCache, SubscriptionProfile, SubscriptionS
 
 __all__ = [
     "LOCAL_INTERFACE",
-    "PROMOTION_KINDS",
     "Broker",
     "ForwardDecision",
     "BrokerNetwork",
@@ -38,8 +37,6 @@ __all__ = [
     "chain_topology",
     "star_topology",
     "tree_topology",
-    "DEFAULT_CUBE_BUDGET",
-    "DEFAULT_RUN_BUDGET",
     "IndexConfig",
     "MATCHING_KINDS",
     "MatchIndex",

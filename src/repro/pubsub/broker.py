@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from ..core.covering import CoveringProfiler
-from ..index.config import IndexConfig, resolve_index_config
+from ..index.config import IndexConfig
 from ..obs.profiler import profiled
 from ..obs.trace import Span, TraceLog, make_detail
 from .routing_table import (
@@ -42,16 +42,10 @@ from .stats import BrokerStats
 from .subscription import Event, Subscription
 from .subscription_store import ProfileCache, SubscriptionProfile, SubscriptionStore
 
-__all__ = ["Broker", "ForwardDecision", "LOCAL_INTERFACE", "PROMOTION_KINDS"]
+__all__ = ["Broker", "ForwardDecision", "LOCAL_INTERFACE"]
 
 #: Pseudo-interface identifier for subscriptions registered by local clients.
 LOCAL_INTERFACE = "__local__"
-
-#: Withdrawal-promotion engines: ``incremental`` re-checks only the suppressed
-#: subscriptions whose recorded cover was withdrawn (one dependents-map pop);
-#: ``rescan`` is the legacy engine that re-checks every suppressed
-#: subscription on the link after any forwarded withdrawal.
-PROMOTION_KINDS = ("incremental", "rescan")
 
 
 @dataclass(frozen=True)
@@ -77,82 +71,52 @@ class Broker:
     covering:
         Covering strategy kind (``"none"``, ``"exact"``, ``"approximate"``,
         ``"probabilistic"``) applied independently per outgoing interface.
-    epsilon:
-        Approximation parameter for the ``"approximate"`` strategy.
+    samples, seed:
+        Sample count and seed of the ``"probabilistic"`` strategy.
     matching:
         Event-matching implementation per interface table: ``"linear"`` scans
         stored subscriptions, ``"sfc"`` routes events through the SFC match
         index (identical answers, indexed cost).
-    run_budget:
-        Per-subscription cap on key ranges stored by the ``"sfc"`` match index.
-    curve:
-        Space-filling-curve kind (:data:`~repro.sfc.factory.CURVE_KINDS`) used
-        by both the ``"sfc"`` match index and the ``"approximate"`` covering
-        strategy.  Curves change run/segment statistics, never semantics:
-        delivery and audit results are identical under every kind.
-    promotion:
-        Withdrawal-promotion engine (see :data:`PROMOTION_KINDS`).
-    profile_sharing:
-        When True (default) each stored subscription's covering geometry —
-        validated ranges, dominance point, probe plan — is computed once in
-        the broker's :class:`SubscriptionStore` and shared by every link's
-        covering checks (and by promotion re-checks).  False restores the
-        legacy per-check recomputation; forwarding decisions are identical
-        either way.
     profile_cache:
         Optional shared :class:`ProfileCache` (the network passes one cache
         to all its brokers so a subscription is profiled once network-wide).
+        Each stored subscription's covering geometry — validated ranges,
+        dominance point, probe plan — is held once in the broker's
+        :class:`SubscriptionStore` and shared by every link's covering checks
+        and promotion re-checks.
     trace:
         Optional shared :class:`~repro.obs.trace.TraceLog` (the network hands
         its brokers the same log it records transport hops into).  When set,
         the broker records one ``route`` span per event it routes and one
         ``covering`` span per forwarding decision; when ``None`` (the
         default) instrumentation costs a single ``is not None`` test.
+    config:
+        The :class:`~repro.index.config.IndexConfig` of the ``"sfc"`` match
+        index (run budget, precision) and the ``"approximate"`` covering
+        strategy (ε, cube budget); its curve keys both.  Curves change
+        run/segment statistics, never semantics: delivery and audit results
+        are identical under every kind.
     """
 
     broker_id: Hashable
     schema: AttributeSchema
     covering: str = "approximate"
-    epsilon: Optional[float] = None
     samples: int = 8
     seed: Optional[int] = None
-    cube_budget: Optional[int] = None
     matching: str = "linear"
-    run_budget: Optional[int] = None
-    curve: Optional[str] = None
-    promotion: str = "incremental"
-    profile_sharing: bool = True
     profile_cache: Optional[ProfileCache] = None
     trace: Optional[TraceLog] = None
-    config: Optional[IndexConfig] = None
+    config: IndexConfig = IndexConfig()
     stats: BrokerStats = field(default_factory=BrokerStats)
 
     def __post_init__(self) -> None:
-        if self.promotion not in PROMOTION_KINDS:
-            raise ValueError(
-                f"unknown promotion kind {self.promotion!r}; expected one of {PROMOTION_KINDS}"
-            )
-        # The keyword knobs are sugar over one IndexConfig; resolution also
-        # validates them (unknown curve kinds raise here).
-        config = resolve_index_config(
-            self.config,
-            epsilon=self.epsilon,
-            cube_budget=self.cube_budget,
-            run_budget=self.run_budget,
-            curve=self.curve,
-        )
-        self.config = config
-        self.epsilon = config.epsilon
-        self.cube_budget = config.cube_budget
-        self.run_budget = config.run_budget
-        self.curve = config.curve
         self.routing_table = self._fresh_routing_table()
         if self.profile_cache is None:
             profiler = (
                 CoveringProfiler(
                     self.schema.num_attributes,
                     self.schema.order,
-                    config=config,
+                    config=self.config,
                 )
                 if self.covering == "approximate"
                 else None
@@ -167,8 +131,8 @@ class Broker:
         self._forwarded_ids: Dict[Hashable, Dict[Hashable, Subscription]] = {}
         self._suppressed: Dict[Hashable, Dict[Hashable, Subscription]] = {}
         # Per neighbour: which forwarded subscription each suppressed one was
-        # last found covered by, plus the reverse map.  The incremental
-        # promotion engine pops the withdrawn cover's dependants instead of
+        # last found covered by, plus the reverse map.  A forwarded
+        # withdrawal pops the withdrawn cover's dependants instead of
         # re-checking the whole suppressed set.  Inner dicts preserve
         # insertion order so promotion re-checks run deterministically.
         self._cover_of: Dict[Hashable, Dict[Hashable, Hashable]] = {}
@@ -273,7 +237,7 @@ class Broker:
         """
         self._in_batch = True
         try:
-            entries: List[Tuple[Subscription, Optional[SubscriptionProfile]]] = []
+            entries: List[Tuple[Subscription, SubscriptionProfile]] = []
             for subscription in subscriptions:
                 self.stats.subscriptions_received += 1
                 entries.append(
@@ -289,33 +253,26 @@ class Broker:
 
     def _store_subscription(
         self, from_interface: Hashable, subscription: Subscription
-    ) -> Optional[SubscriptionProfile]:
+    ) -> SubscriptionProfile:
         """Store an arrival in the interface table; return its shared profile."""
         table = self.routing_table.table(from_interface)
         already_stored = subscription.sub_id in table
         table.add(subscription)
         if not already_stored:
             self.stats.subscriptions_stored += 1
-            if self.profile_sharing:
-                return self._store.acquire(subscription)
-        return self._store.get(subscription.sub_id) if self.profile_sharing else None
+            return self._store.acquire(subscription)
+        return self._store.get(subscription.sub_id)
 
     @profiled("broker.covering_check")
     def _covering_check(
-        self,
-        strategy: CoveringStrategy,
-        subscription: Subscription,
-        profile: Optional[SubscriptionProfile],
+        self, strategy: CoveringStrategy, profile: SubscriptionProfile
     ) -> Optional[Hashable]:
         """One covering query against a link's forwarded set, with accounting."""
         self.stats.covering_checks += 1
         if self._in_batch:
             self.stats.batch_covering_checks += 1
         before = strategy.work_units()
-        if profile is not None:
-            covered_by = strategy.find_covering_profile(profile)
-        else:
-            covered_by = strategy.find_covering(subscription.ranges)
+        covered_by = strategy.find_covering_profile(profile)
         self.stats.covering_check_runs += strategy.work_units() - before
         return covered_by
 
@@ -355,13 +312,10 @@ class Broker:
         neighbor_id: Hashable,
         strategy: CoveringStrategy,
         subscription: Subscription,
-        profile: Optional[SubscriptionProfile],
+        profile: SubscriptionProfile,
     ) -> None:
         """Add a subscription to a link's forwarded set and send it."""
-        if profile is not None:
-            strategy.add_profile(subscription.sub_id, profile)
-        else:
-            strategy.add(subscription.sub_id, subscription.ranges)
+        strategy.add_profile(subscription.sub_id, profile)
         self._forwarded_ids[neighbor_id][subscription.sub_id] = subscription
         self.stats.subscriptions_forwarded += 1
         self._decision_log.append(ForwardDecision(subscription.sub_id, neighbor_id, True, None))
@@ -376,7 +330,7 @@ class Broker:
         self,
         neighbor_id: Hashable,
         subscription: Subscription,
-        profile: Optional[SubscriptionProfile] = None,
+        profile: SubscriptionProfile,
     ) -> None:
         if subscription.sub_id in self._forwarded_ids[neighbor_id]:
             # Duplicate arrival of a subscription already forwarded on this
@@ -385,7 +339,7 @@ class Broker:
             # after a single withdrawal.
             return
         strategy = self._forwarded[neighbor_id]
-        covered_by = self._covering_check(strategy, subscription, profile)
+        covered_by = self._covering_check(strategy, profile)
         if self.trace is not None:
             self.trace.record(
                 Span(
@@ -498,10 +452,9 @@ class Broker:
                 if subscription.sub_id in seen:
                     continue
                 seen.add(subscription.sub_id)
-                profile = (
-                    self._store.get(subscription.sub_id) if self.profile_sharing else None
+                self._consider_forwarding(
+                    neighbor_id, subscription, self._store.get(subscription.sub_id)
                 )
-                self._consider_forwarding(neighbor_id, subscription, profile)
         return len(seen)
 
     # --------------------------------------------------------- unsubscriptions
@@ -527,8 +480,7 @@ class Broker:
 
         Per-link withdrawal order and promotion decisions are identical to
         calling :meth:`unsubscribe_local` per pair; the per-link sweep keeps
-        each link's covering state hot and the promotion engine amortises its
-        profile lookups.  Returns one found-flag per pair.
+        each link's covering state hot.  Returns one found-flag per pair.
         """
         removed_flags: List[bool] = []
         to_withdraw: List[Hashable] = []
@@ -551,7 +503,7 @@ class Broker:
             if neighbor_id == from_interface:
                 continue
             self._withdraw_from_neighbor(neighbor_id, sub_id)
-        if removed and self.profile_sharing:
+        if removed:
             self._store.release(sub_id)
 
     def receive_unsubscription_batch(
@@ -572,9 +524,8 @@ class Broker:
                     continue
                 for sub_id in sub_ids:
                     self._withdraw_from_neighbor(neighbor_id, sub_id)
-            if self.profile_sharing:
-                for sub_id in removed:
-                    self._store.release(sub_id)
+            for sub_id in removed:
+                self._store.release(sub_id)
         finally:
             self._in_batch = False
 
@@ -593,28 +544,19 @@ class Broker:
             self._send_unsubscription(self.broker_id, neighbor_id, sub_id)
         # Subscriptions previously suppressed on this link may have lost their
         # cover; re-run the forwarding decision so downstream brokers keep
-        # receiving the events those subscribers still need.  The incremental
-        # engine re-checks only the withdrawn subscription's recorded
-        # dependants — any other suppressed subscription still has its
-        # recorded cover in the forwarded set, so its suppression stays sound.
-        if self.promotion == "incremental":
-            dependents = self._dependents[neighbor_id].pop(sub_id, None)
-            if not dependents:
-                return
-            candidates = [
-                (pending_id, suppressed[pending_id])
-                for pending_id in dependents
-                if pending_id in suppressed
-            ]
-        else:
-            candidates = list(suppressed.items())
-        for pending_id, pending in candidates:
-            if pending_id not in suppressed:
-                # Promoted earlier in this very pass (it covered a later
-                # candidate's re-check instead).
+        # receiving the events those subscribers still need.  Only the
+        # withdrawn subscription's recorded dependants are re-checked — any
+        # other suppressed subscription still has its recorded cover in the
+        # forwarded set, so its suppression stays sound.
+        dependents = self._dependents[neighbor_id].pop(sub_id, None)
+        if not dependents:
+            return
+        for pending_id in dependents:  # detached from the map by the pop
+            pending = suppressed.get(pending_id)
+            if pending is None:
                 continue
-            profile = self._store.get(pending_id) if self.profile_sharing else None
-            covered_by = self._covering_check(strategy, pending, profile)
+            profile = self._store.get(pending_id)
+            covered_by = self._covering_check(strategy, profile)
             if covered_by is not None:
                 # Still covered — by a different survivor; re-home it so the
                 # dependants map stays exact.

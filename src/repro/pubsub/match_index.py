@@ -54,13 +54,7 @@ from ..core.decomposition import decompose_rectangle
 from ..geometry.bits import spread_bits
 from ..geometry.rect import Rectangle, StandardCube
 from ..geometry.universe import Universe
-from ..index.config import (
-    DEFAULT_PRECISION_BITS,
-    DEFAULT_RUN_BUDGET,
-    PRECISION_BIT_BUDGET,
-    IndexConfig,
-    resolve_index_config,
-)
+from ..index.config import IndexConfig
 from ..index.sfc_array import FlatSegmentStore
 from ..obs.profiler import profiled
 from ..sfc.base import KeyRange
@@ -71,16 +65,8 @@ from .schema import AttributeSchema
 __all__ = [
     "MatchIndex",
     "MatchIndexStats",
-    "IndexConfig",
-    "DEFAULT_RUN_BUDGET",
-    "DEFAULT_PRECISION_BITS",
-    "PRECISION_BIT_BUDGET",
     "spread_bits",
 ]
-
-# The knob constants (DEFAULT_RUN_BUDGET, DEFAULT_PRECISION_BITS,
-# PRECISION_BIT_BUDGET) are defined once in :mod:`repro.index.config` and
-# re-exported here for backward compatibility.
 
 
 @dataclass
@@ -104,39 +90,18 @@ class MatchIndex:
     schema:
         Attribute schema shared with the routing layer; fixes the grid
         (``d = num_attributes`` dimensions, ``2^order`` cells per side).
-    run_budget:
-        Per-subscription cap on stored key ranges (see module docstring).
-    precision_bits:
-        Grid resolution (bits per dimension) at which rectangles are
-        decomposed; schemas with a larger order have their rectangles snapped
-        outward to this grid first (see module docstring).  When omitted the
-        default scales down with dimensionality so the total decomposition
-        work stays within :data:`PRECISION_BIT_BUDGET`; an explicit value is
-        used as given.
-    curve:
-        Space-filling-curve kind (:data:`~repro.sfc.factory.CURVE_KINDS`)
-        keying the segments.  Curves differ in run counts — and therefore in
-        segment counts and false-positive rates — never in match answers.
     config:
-        A full :class:`~repro.index.config.IndexConfig`; the individual
-        keyword arguments above are sugar layered on top of it (an explicit
-        keyword overrides the corresponding config field).
+        The :class:`~repro.index.config.IndexConfig` this index reads three
+        knobs from: ``run_budget`` (per-subscription cap on stored key
+        ranges), ``precision_bits`` (grid resolution, in bits per dimension,
+        that rectangles are snapped outward to before decomposing; derived
+        from ``precision_bit_budget`` when unset) and ``curve`` (the
+        space-filling curve keying the segments).  Curves differ in run
+        counts — and therefore in segment counts and false-positive rates —
+        never in match answers.
     """
 
-    def __init__(
-        self,
-        schema: AttributeSchema,
-        run_budget: Optional[int] = None,
-        precision_bits: Optional[int] = None,
-        curve: Optional[str] = None,
-        config: Optional[IndexConfig] = None,
-    ) -> None:
-        config = resolve_index_config(
-            config,
-            run_budget=run_budget,
-            precision_bits=precision_bits,
-            curve=curve,
-        )
+    def __init__(self, schema: AttributeSchema, config: IndexConfig = IndexConfig()) -> None:
         self.config = config
         self.schema = schema
         self.universe = Universe(dims=schema.num_attributes, order=schema.order)

@@ -27,12 +27,12 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
 from ..core.covering import CoveringProfiler
-from ..index.config import IndexConfig, resolve_index_config
+from ..index.config import IndexConfig
 from ..obs.exposition import render_prometheus, snapshot
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import Span, TraceLog, make_detail
@@ -128,24 +128,16 @@ class BrokerNetwork:
     covering:
         Covering strategy used by every broker (``"none"``, ``"exact"``,
         ``"approximate"``, ``"probabilistic"``).
-    epsilon:
-        Approximation parameter for the approximate strategy.
+    samples, seed:
+        Sample count and seed of the probabilistic strategy; ``seed`` also
+        derives the trace ids of a tracing log.
+    matching:
+        Event matching per interface table: ``"linear"`` or ``"sfc"``.
     transport:
         Message transport between brokers; defaults to a fresh
         :class:`~repro.sim.transport.SyncTransport` (immediate inline
         delivery).  Pass a :class:`~repro.sim.transport.SimTransport` for
         latency, queueing and churn.
-    curve:
-        Space-filling-curve kind every broker uses for SFC matching and
-        approximate covering (:data:`~repro.sfc.factory.CURVE_KINDS`).
-        Curves change run/segment statistics, never delivery semantics.
-    promotion:
-        Withdrawal-promotion engine every broker uses
-        (:data:`~repro.pubsub.broker.PROMOTION_KINDS`).
-    profile_sharing:
-        When True (default) the network builds one shared
-        :class:`~repro.pubsub.subscription_store.ProfileCache` so each
-        subscription's covering geometry is computed once network-wide.
     metrics:
         Optional :class:`~repro.obs.registry.MetricsRegistry` the network
         publishes its counters into at scrape time (:meth:`scrape`,
@@ -159,41 +151,27 @@ class BrokerNetwork:
         root span plus one ``hop`` span per transport arrival; brokers add
         ``route`` and ``covering`` decision spans.  Defaults to a disabled
         log (brokers then skip instrumentation entirely).
+    config:
+        The :class:`~repro.index.config.IndexConfig` every broker uses: ε and
+        cube budget of approximate covering, run budget and precision of SFC
+        matching, and the curve keying both.  Curves change run/segment
+        statistics, never delivery semantics.  The network builds one shared
+        :class:`~repro.pubsub.subscription_store.ProfileCache` from it, so
+        each subscription's covering geometry is computed once network-wide.
     """
 
     schema: AttributeSchema
     covering: str = "approximate"
-    epsilon: Optional[float] = None
     samples: int = 8
     seed: Optional[int] = None
-    cube_budget: Optional[int] = None
     matching: str = "linear"
-    run_budget: Optional[int] = None
-    curve: Optional[str] = None
-    promotion: str = "incremental"
-    profile_sharing: bool = True
     transport: Optional[Transport] = None
     metrics: Optional[MetricsRegistry] = None
     tracing: Optional[TraceLog] = None
-    config: Optional[IndexConfig] = None
+    config: IndexConfig = IndexConfig()
     brokers: Dict[Hashable, Broker] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # One IndexConfig for the whole network: the per-knob keyword sugar
-        # overrides the (optional) explicit config, and resolution validates
-        # everything up front (unknown curve kinds raise here).  The sugar
-        # fields are back-filled so existing readers keep working.
-        self.config = resolve_index_config(
-            self.config,
-            epsilon=self.epsilon,
-            cube_budget=self.cube_budget,
-            run_budget=self.run_budget,
-            curve=self.curve,
-        )
-        self.epsilon = self.config.epsilon
-        self.cube_budget = self.config.cube_budget
-        self.run_budget = self.config.run_budget
-        self.curve = self.config.curve
         if self.transport is None:
             self.transport = SyncTransport()
         self.transport.bind(self)
@@ -224,7 +202,7 @@ class BrokerNetwork:
                 self.schema.order,
                 config=self.config,
             )
-            if self.covering == "approximate" and self.profile_sharing
+            if self.covering == "approximate"
             else None
         )
         self._tuner = None
@@ -254,8 +232,6 @@ class BrokerNetwork:
             samples=self.samples,
             seed=self.seed,
             matching=self.matching,
-            promotion=self.promotion,
-            profile_sharing=self.profile_sharing,
             profile_cache=self.profile_cache,
             trace=self.tracing if self.tracing.enabled else None,
             config=self.config,
@@ -299,48 +275,21 @@ class BrokerNetwork:
         cls,
         schema: AttributeSchema,
         edges: Iterable[Tuple[Hashable, Hashable]],
-        covering: str = "approximate",
-        epsilon: Optional[float] = None,
-        samples: int = 8,
-        seed: Optional[int] = None,
-        cube_budget: Optional[int] = None,
-        matching: str = "linear",
-        run_budget: Optional[int] = None,
-        curve: Optional[str] = None,
-        promotion: str = "incremental",
-        profile_sharing: bool = True,
-        transport: Optional[Transport] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        tracing: Optional[TraceLog] = None,
-        config: Optional[IndexConfig] = None,
+        *,
         nodes: Optional[Iterable[Hashable]] = None,
+        **options: Any,
     ) -> "BrokerNetwork":
         """Build a network from an edge list (nodes are created on first sight).
 
-        ``nodes`` optionally pre-creates brokers before the edges are wired —
-        needed for ids an edge list cannot express (a single-broker network
-        has no edges at all).  An empty edge list with no explicit ``nodes``
+        ``options`` are the constructor's keyword arguments (``covering``,
+        ``matching``, ``config`` …).  ``nodes`` optionally pre-creates brokers
+        before the edges are wired — needed for ids an edge list cannot
+        express (a single-broker network has no edges at all).  An empty edge list with no explicit ``nodes``
         builds the canonical single-broker network (broker ``0``), matching
         what ``tree_topology(1)`` / ``chain_topology(1)`` / ``star_topology(1)``
         denote.
         """
-        network = cls(
-            schema=schema,
-            covering=covering,
-            epsilon=epsilon,
-            samples=samples,
-            seed=seed,
-            cube_budget=cube_budget,
-            matching=matching,
-            run_budget=run_budget,
-            curve=curve,
-            promotion=promotion,
-            profile_sharing=profile_sharing,
-            transport=transport,
-            metrics=metrics,
-            tracing=tracing,
-            config=config,
-        )
+        network = cls(schema, **options)
         for node in nodes or ():
             if node not in network.brokers:
                 network.add_broker(node)
@@ -615,7 +564,7 @@ class BrokerNetwork:
 
         Pairs are grouped by the client's home broker (preserving order
         within each group) and withdrawn through the broker's batch path;
-        the promotion engine runs per withdrawal exactly as it would under
+        promotion re-checks run per withdrawal exactly as they would under
         sequential :meth:`unsubscribe` calls.  Unknown clients yield False;
         a pair homed at a crashed broker raises like the sequential API.
         Returns one found-flag per pair, in input order.

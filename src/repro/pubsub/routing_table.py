@@ -39,7 +39,7 @@ from ..baselines.linear_scan import LinearScanCoveringDetector
 from ..baselines.probabilistic import ProbabilisticCoveringDetector
 from ..core.covering import ApproximateCoveringDetector
 from ..geometry.universe import Universe
-from ..index.config import DEFAULT_CUBE_BUDGET, IndexConfig, resolve_index_config
+from ..index.config import IndexConfig
 from ..sfc.base import SpaceFillingCurve
 from ..sfc.factory import make_curve
 from .match_index import MatchIndex, MatchIndexStats
@@ -55,13 +55,8 @@ __all__ = [
     "make_covering_strategy",
     "InterfaceTable",
     "RoutingTable",
-    "DEFAULT_CUBE_BUDGET",
     "MATCHING_KINDS",
 ]
-
-# DEFAULT_CUBE_BUDGET — the per-check work bound of the approximate covering
-# strategy — is defined in :mod:`repro.index.config` (one source of truth for
-# index knobs) and re-exported here for backward compatibility.
 
 #: Event-matching implementations an interface table can use.
 MATCHING_KINDS = ("linear", "sfc")
@@ -153,23 +148,16 @@ class ExactCoveringStrategy:
 
 
 class ApproximateCoveringStrategy:
-    """The paper's ε-approximate covering detector backed by an SFC index."""
+    """The paper's ε-approximate covering detector backed by an SFC index.
+
+    ``config`` supplies ε, the per-check cube budget and the curve.
+    """
 
     def __init__(
-        self,
-        attributes: int,
-        attribute_order: int,
-        epsilon: Optional[float] = None,
-        cube_budget: Optional[int] = None,
-        curve: Optional[str] = None,
-        config: Optional[IndexConfig] = None,
+        self, attributes: int, attribute_order: int, config: IndexConfig = IndexConfig()
     ) -> None:
-        config = resolve_index_config(
-            config, epsilon=epsilon, cube_budget=cube_budget, curve=curve
-        )
         self.config = config
         self.name = f"approx(ε={config.epsilon})"
-        self.epsilon = config.epsilon
         self._detector = ApproximateCoveringDetector(
             attributes=attributes,
             attribute_order=attribute_order,
@@ -238,27 +226,19 @@ class ProbabilisticCoveringStrategy:
 def make_covering_strategy(
     kind: str,
     schema: AttributeSchema,
-    epsilon: Optional[float] = None,
     samples: int = 8,
     seed: Optional[int] = None,
-    cube_budget: Optional[int] = None,
-    curve: Optional[str] = None,
-    config: Optional[IndexConfig] = None,
+    config: IndexConfig = IndexConfig(),
 ) -> CoveringStrategy:
     """Build a covering strategy by name: ``none``, ``exact``, ``approximate`` or ``probabilistic``.
 
-    ``cube_budget`` bounds the per-check work of the approximate strategy; a
-    router would enforce such a bound in practice so a single subscription
-    arrival cannot stall the forwarding path.  ``curve`` selects the
-    space-filling curve of the approximate strategy's index (the other
-    strategies do not use one).  ``config`` supplies all of the above at
-    once; explicit keywords override its fields.
+    Only the approximate strategy reads ``config``: ε, its curve, and the
+    cube budget that bounds its per-check work (a router would enforce such
+    a bound in practice so a single subscription arrival cannot stall the
+    forwarding path).  ``samples`` and ``seed`` drive the probabilistic one.
     """
     attributes = schema.num_attributes
     order = schema.order
-    config = resolve_index_config(
-        config, epsilon=epsilon, cube_budget=cube_budget, curve=curve
-    )
     if kind == "none":
         return NoCoveringStrategy()
     if kind == "exact":
@@ -298,12 +278,9 @@ class InterfaceTable:
         interface_id: Hashable,
         schema: Optional[AttributeSchema] = None,
         matching: str = "linear",
-        run_budget: Optional[int] = None,
-        curve: Optional[str] = None,
-        config: Optional[IndexConfig] = None,
+        config: IndexConfig = IndexConfig(),
         routing_curve_kind: Optional[str] = None,
     ) -> None:
-        config = resolve_index_config(config, run_budget=run_budget, curve=curve)
         if matching not in MATCHING_KINDS:
             raise ValueError(
                 f"unknown matching kind {matching!r}; expected one of {MATCHING_KINDS}"
@@ -507,11 +484,8 @@ class RoutingTable:
         self,
         schema: Optional[AttributeSchema] = None,
         matching: str = "linear",
-        run_budget: Optional[int] = None,
-        curve: Optional[str] = None,
-        config: Optional[IndexConfig] = None,
+        config: IndexConfig = IndexConfig(),
     ) -> None:
-        config = resolve_index_config(config, run_budget=run_budget, curve=curve)
         if matching not in MATCHING_KINDS:
             raise ValueError(
                 f"unknown matching kind {matching!r}; expected one of {MATCHING_KINDS}"

@@ -7,8 +7,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.covering import ApproximateCoveringDetector
+from repro.core.covering import STANDALONE_CUBE_BUDGET, ApproximateCoveringDetector
 from repro.geometry.transform import ranges_cover
+from repro.index.config import DEFAULT_CUBE_BUDGET, IndexConfig
 
 
 def random_subscription(rng, attributes, max_value, max_width=None):
@@ -61,6 +62,20 @@ class TestBasicAPI:
             det.add_subscription("bad", [(10, 5), (0, 1)])
         with pytest.raises(ValueError):
             det.find_covering([(0, 64), (0, 1)])
+
+
+class TestCubeBudgetDefaults:
+    def test_keyword_api_defaults_to_the_standalone_budget(self):
+        assert ApproximateCoveringDetector(2, 10).cube_budget == 1_000_000
+        assert STANDALONE_CUBE_BUDGET == 1_000_000
+
+    def test_config_supplies_the_routing_budget(self):
+        detector = ApproximateCoveringDetector(2, 10, config=IndexConfig())
+        assert detector.cube_budget == DEFAULT_CUBE_BUDGET == 2_000
+
+    def test_explicit_keyword_overrides_the_config(self):
+        detector = ApproximateCoveringDetector(2, 10, cube_budget=77, config=IndexConfig())
+        assert detector.cube_budget == 77
 
 
 class TestExclusion:

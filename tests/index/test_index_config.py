@@ -6,22 +6,89 @@ import dataclasses
 
 import pytest
 
+from repro.core.covering import CoveringProfiler
 from repro.index.config import (
     DEFAULT_CUBE_BUDGET,
     DEFAULT_PRECISION_BITS,
     DEFAULT_RUN_BUDGET,
     PRECISION_BIT_BUDGET,
     IndexConfig,
-    resolve_index_config,
+)
+from repro.pubsub.broker import Broker
+from repro.pubsub.match_index import MatchIndex
+from repro.pubsub.network import BrokerNetwork, chain_topology
+from repro.pubsub.routing_table import (
+    ApproximateCoveringStrategy,
+    InterfaceTable,
+    RoutingTable,
+    make_covering_strategy,
 )
 from repro.pubsub.schema import Attribute, AttributeSchema
-from repro.pubsub.match_index import MatchIndex
 
 
 def _schema(num_attributes: int = 2, order: int = 6) -> AttributeSchema:
     return AttributeSchema(
         [Attribute(f"a{i}", 0.0, 100.0) for i in range(num_attributes)], order=order
     )
+
+
+# Every routing-stack constructor takes its index knobs through ``config=``
+# only; each entry builds one with extra keywords and names the keywords it
+# no longer accepts.
+_COVERING_KNOBS = ("epsilon", "cube_budget", "curve")
+# Broker and BrokerNetwork have one promotion path and always share profiles,
+# so they take no switch for either.
+_NETWORK_KNOBS = (
+    "epsilon",
+    "cube_budget",
+    "run_budget",
+    "curve",
+    "promotion",
+    "profile_sharing",
+)
+_CONSTRUCTORS = {
+    "MatchIndex": (
+        lambda **kw: MatchIndex(_schema(), **kw),
+        ("run_budget", "precision_bits", "curve"),
+    ),
+    "InterfaceTable": (
+        lambda **kw: InterfaceTable("if", _schema(), matching="sfc", **kw),
+        ("run_budget", "curve"),
+    ),
+    "RoutingTable": (
+        lambda **kw: RoutingTable(_schema(), matching="sfc", **kw),
+        ("run_budget", "curve"),
+    ),
+    "ApproximateCoveringStrategy": (
+        lambda **kw: ApproximateCoveringStrategy(2, 6, **kw),
+        _COVERING_KNOBS,
+    ),
+    "make_covering_strategy": (
+        lambda **kw: make_covering_strategy("approximate", _schema(), **kw),
+        _COVERING_KNOBS,
+    ),
+    "CoveringProfiler": (lambda **kw: CoveringProfiler(2, 6, **kw), _COVERING_KNOBS),
+    "Broker": (lambda **kw: Broker(broker_id=0, schema=_schema(), **kw), _NETWORK_KNOBS),
+    "BrokerNetwork": (lambda **kw: BrokerNetwork(_schema(), **kw), _NETWORK_KNOBS),
+    "BrokerNetwork.from_topology": (
+        lambda **kw: BrokerNetwork.from_topology(_schema(), chain_topology(2), **kw),
+        _NETWORK_KNOBS,
+    ),
+}
+_REMOVED_VALUES = {
+    "epsilon": 0.1,
+    "cube_budget": 10,
+    "run_budget": 8,
+    "precision_bits": 3,
+    "curve": "hilbert",
+    "promotion": "incremental",
+    "profile_sharing": True,
+}
+_REMOVED_KEYWORDS = [
+    pytest.param(name, keyword, id=f"{name}-{keyword}")
+    for name, (_, keywords) in _CONSTRUCTORS.items()
+    for keyword in keywords
+]
 
 
 class TestValidation:
@@ -46,6 +113,13 @@ class TestValidation:
         # There is one segment store, so no knob selects or splits it.
         with pytest.raises(TypeError):
             IndexConfig(**kwargs)
+
+    @pytest.mark.parametrize("name, keyword", _REMOVED_KEYWORDS)
+    def test_removed_constructor_keywords_are_rejected(self, name, keyword):
+        build, _ = _CONSTRUCTORS[name]
+        build()  # the constructor itself works without the keyword
+        with pytest.raises(TypeError):
+            build(**{keyword: _REMOVED_VALUES[keyword]})
 
     def test_unknown_curve_uses_canonical_message(self):
         with pytest.raises(ValueError, match="unknown curve kind"):
@@ -97,33 +171,14 @@ class TestPrecisionBits:
 
     def test_match_index_explicit_precision_escape_hatch(self):
         dims = PRECISION_BIT_BUDGET + 1
-        index = MatchIndex(_schema(num_attributes=dims, order=4), precision_bits=1)
+        index = MatchIndex(
+            _schema(num_attributes=dims, order=4), config=IndexConfig(precision_bits=1)
+        )
         assert index.precision_bits == 1
 
-
-class TestResolution:
-    def test_none_overrides_are_skipped(self):
-        base = IndexConfig(curve="hilbert", run_budget=8)
-        assert resolve_index_config(base, curve=None, run_budget=None) == base
-
-    def test_overrides_apply(self):
-        resolved = resolve_index_config(None, curve="gray", epsilon=0.25)
-        assert resolved.curve == "gray"
-        assert resolved.epsilon == 0.25
-        assert resolved.run_budget == DEFAULT_RUN_BUDGET
-
-    def test_config_passthrough_identity(self):
-        base = IndexConfig(curve="hilbert")
-        assert resolve_index_config(base) is base
-
-    def test_sugar_equivalent_to_explicit_config(self):
-        schema = _schema()
-        sugared = MatchIndex(schema, curve="hilbert", run_budget=8)
-        explicit = MatchIndex(
-            schema, config=IndexConfig(curve="hilbert", run_budget=8)
-        )
-        assert sugared.config == explicit.config
-        assert sugared.config.cache_key() == explicit.config.cache_key()
+    def test_budget_exhaustion_error_names_the_config_fields(self):
+        with pytest.raises(ValueError, match=r"IndexConfig\(precision_bits=\.\.\.\)"):
+            IndexConfig().effective_precision_bits(PRECISION_BIT_BUDGET + 1)
 
 
 class TestKeys:
@@ -162,23 +217,10 @@ class TestKeys:
             config.replace(curve="peano")
 
 
-class TestReExports:
-    def test_match_index_module_reexports_the_same_objects(self):
-        from repro.pubsub import match_index
-
-        assert match_index.IndexConfig is IndexConfig
-        assert match_index.DEFAULT_RUN_BUDGET == DEFAULT_RUN_BUDGET
-        assert match_index.PRECISION_BIT_BUDGET == PRECISION_BIT_BUDGET
-
+class TestExports:
     def test_package_level_exports(self):
         import repro.index as index_pkg
         import repro.pubsub as pubsub_pkg
 
         assert index_pkg.IndexConfig is IndexConfig
         assert pubsub_pkg.IndexConfig is IndexConfig
-        assert index_pkg.resolve_index_config is resolve_index_config
-
-    def test_routing_reexports(self):
-        from repro.pubsub.routing_table import DEFAULT_CUBE_BUDGET as rt_budget
-
-        assert rt_budget == DEFAULT_CUBE_BUDGET

@@ -14,6 +14,7 @@ import pytest
 
 from repro.baselines.linear_scan import LinearScanCoveringDetector
 from repro.core.covering import ApproximateCoveringDetector
+from repro.index.config import IndexConfig
 from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.pubsub.subscription import Event, Subscription
 from repro.workloads.generators import covering_chain
@@ -35,8 +36,7 @@ class TestScenarioPipelines:
             scenario.schema,
             tree_topology(5),
             covering=covering,
-            epsilon=0.2,
-            cube_budget=5_000,
+            config=IndexConfig(cube_budget=5_000, epsilon=0.2),
             seed=1,
         )
         rng = random.Random(11)
@@ -57,8 +57,7 @@ class TestScenarioPipelines:
                 scenario.schema,
                 tree_topology(7),
                 covering=covering,
-                epsilon=0.25,
-                cube_budget=4_000,
+                config=IndexConfig(cube_budget=4_000, epsilon=0.25),
                 seed=1,
             )
             rng = random.Random(5)
@@ -156,7 +155,8 @@ class TestClientLevelScenario:
         scenario = stock_market_scenario(num_subscriptions=0, num_events=0, order=9)
         schema = scenario.schema
         network = BrokerNetwork.from_topology(
-            schema, tree_topology(3), covering="approximate", epsilon=0.1, cube_budget=5_000
+            schema, tree_topology(3), covering="approximate",
+            config=IndexConfig(cube_budget=5_000, epsilon=0.1)
         )
         trader = Subscription(
             schema, {"price": (0.0, 95.0), "volume": (500.0, 1_000_000.0)}

@@ -1,12 +1,13 @@
-"""The batch subscription APIs and the incremental promotion engine.
+"""The batch subscription APIs and dependents-map promotion.
 
 ``subscribe_batch`` / ``unsubscribe_batch`` are pinned to be pure
 amortisations: given the same per-link arrival order, the final routing /
 forwarded / suppressed state is byte-identical to sequential calls, under
-every covering strategy and promotion engine.  The incremental promotion
-engine is additionally pinned against the legacy full-rescan engine on exact
-covering (where both are deterministic functions of the arrival order), and
-its dependents bookkeeping is exercised through cover hand-offs.
+every covering strategy.  Promotion re-checks only the withdrawn cover's
+dependants, which is sound only while every suppressed subscription's
+recorded cover is still forwarded and still covers it; a linear oracle
+checks exactly that after every withdrawal, and the dependents bookkeeping is
+exercised through cover hand-offs.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import random
 
 import pytest
 
+from repro.geometry.transform import ranges_cover
+from repro.index.config import IndexConfig
 from repro.pubsub.network import (
     BrokerNetwork,
     chain_topology,
@@ -79,8 +82,7 @@ class TestBatchEquivalence:
                 schema,
                 TOPOLOGIES[topology](6),
                 covering=covering,
-                epsilon=0.1,
-                cube_budget=5_000,
+                config=IndexConfig(cube_budget=5_000, epsilon=0.1),
             )
 
         sequential = build()
@@ -118,32 +120,35 @@ class TestBatchEquivalence:
         timings = network.phase_timings()
         assert timings.get("subscribe_batch", 0.0) > 0.0
 
-    def test_profile_sharing_does_not_change_decisions(self, schema):
-        """profile_sharing=False (legacy recomputation) yields identical state."""
-        triples = random_workload(schema, 60, seed=13)
-        groups = grouped(triples)
 
-        def run(sharing):
-            network = BrokerNetwork.from_topology(
-                schema,
-                tree_topology(6),
-                covering="approximate",
-                epsilon=0.1,
-                profile_sharing=sharing,
-            )
-            for broker, items in groups.items():
-                for client, sub in items:
-                    network.subscribe(broker, client, sub)
-            for client, sub, _ in triples[::4]:
-                network.unsubscribe(client, sub.sub_id)
-            return network
 
-        shared = run(True)
-        legacy = run(False)
-        assert shared.routing_state() == legacy.routing_state()
-        assert shared.collect_stats().profile_cache_misses > 0
-        # A subscription travelling several broker hops is profiled once.
-        assert shared.collect_stats().profile_cache_hits > 0
+def assert_suppressions_sound(network):
+    """Linear oracle for the rule promotion relies on.
+
+    On every broker and link, each suppressed subscription has a recorded
+    cover; that cover is still in the link's forwarded set and really covers
+    it; and the dependents map is the exact inverse of the cover map.
+    """
+    for broker in network.brokers.values():
+        for link, suppressed in broker._suppressed.items():
+            forwarded = broker._forwarded_ids[link]
+            cover_of = broker._cover_of[link]
+            assert set(cover_of) == set(suppressed), (broker.broker_id, link)
+            inverse = {}
+            for sub_id, subscription in suppressed.items():
+                cover = cover_of[sub_id]
+                assert cover in forwarded, (broker.broker_id, link, sub_id, cover)
+                assert ranges_cover(forwarded[cover].ranges, subscription.ranges), (
+                    broker.broker_id,
+                    link,
+                    sub_id,
+                    cover,
+                )
+                inverse.setdefault(cover, set()).add(sub_id)
+            dependents = {
+                cover: set(subs) for cover, subs in broker._dependents[link].items()
+            }
+            assert dependents == inverse, (broker.broker_id, link)
 
 
 class TestIncrementalPromotion:
@@ -186,30 +191,33 @@ class TestIncrementalPromotion:
         assert "narrow" in broker0._suppressed[1]
 
     @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
-    def test_incremental_matches_rescan_on_exact(self, schema, topology):
-        """On exact covering both engines are deterministic in arrival order
-        and must leave identical state after heavy withdrawal churn."""
+    @pytest.mark.parametrize("covering", ["exact", "approximate"])
+    def test_suppressions_stay_sound_under_churn(self, schema, topology, covering):
+        """After every withdrawal each suppressed subscription's recorded cover
+        is still forwarded on its link and still covers it, so re-checking
+        only the withdrawn cover's dependants loses nothing; a delivery audit
+        after the churn confirms it end to end."""
         triples = random_workload(schema, 70, seed=21)
-        groups = grouped(triples)
+        network = BrokerNetwork.from_topology(
+            schema,
+            TOPOLOGIES[topology](6),
+            covering=covering,
+            config=IndexConfig(cube_budget=5_000, epsilon=0.1),
+        )
+        for broker, items in grouped(triples).items():
+            for client, sub in items:
+                network.subscribe(broker, client, sub)
+        assert_suppressions_sound(network)
+        for client, sub, _ in triples[::2]:
+            assert network.unsubscribe(client, sub.sub_id)
+            assert_suppressions_sound(network)
+        assert network.collect_stats().total_promotions > 0
 
-        def run(promotion):
-            network = BrokerNetwork.from_topology(
+        rng = random.Random(22)
+        for i in range(40):
+            event = Event(
                 schema,
-                TOPOLOGIES[topology](6),
-                covering="exact",
-                promotion=promotion,
+                {"x": rng.uniform(0, 100), "y": rng.uniform(0, 100)},
+                event_id=f"e{i}",
             )
-            for broker, items in groups.items():
-                for client, sub in items:
-                    network.subscribe(broker, client, sub)
-            for client, sub, _ in triples[::2]:
-                network.unsubscribe(client, sub.sub_id)
-            return network
-
-        assert run("incremental").routing_state() == run("rescan").routing_state()
-
-    def test_promotion_kind_validated(self, schema):
-        with pytest.raises(ValueError, match="promotion"):
-            BrokerNetwork.from_topology(
-                schema, chain_topology(2), promotion="eager"
-            )
+            assert network.publish_and_audit(rng.randrange(6), event) == (set(), set())

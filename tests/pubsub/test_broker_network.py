@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.index.config import IndexConfig
 from repro.pubsub.broker import Broker
 from repro.pubsub.network import (
     BrokerNetwork,
@@ -27,7 +28,8 @@ def schema():
 
 def make_network(schema, covering="exact", num_brokers=5, epsilon=0.1):
     return BrokerNetwork.from_topology(
-        schema, chain_topology(num_brokers), covering=covering, epsilon=epsilon, seed=1
+        schema, chain_topology(num_brokers), covering=covering,
+        config=IndexConfig(epsilon=epsilon), seed=1
     )
 
 
@@ -192,7 +194,8 @@ class TestSubscriptionPropagation:
         sizes = {}
         for covering in ("none", "exact", "approximate"):
             network = BrokerNetwork.from_topology(
-                schema, tree_topology(5), covering=covering, epsilon=0.1, cube_budget=50_000
+                schema, tree_topology(5), covering=covering,
+                config=IndexConfig(cube_budget=50_000, epsilon=0.1)
             )
             for i, sub in enumerate(subs):
                 fresh = Subscription(schema, sub.constraints, sub_id=sub.sub_id)
@@ -239,7 +242,8 @@ class TestEventDelivery:
         rng = random.Random(7)
         for covering in ("none", "exact", "approximate"):
             network = BrokerNetwork.from_topology(
-                schema, tree_topology(7), covering=covering, epsilon=0.2, cube_budget=20_000
+                schema, tree_topology(7), covering=covering,
+                config=IndexConfig(cube_budget=20_000, epsilon=0.2)
             )
             for i in range(30):
                 lo_x, lo_y = rng.uniform(0, 60), rng.uniform(0, 60)
@@ -314,8 +318,7 @@ class TestPublishBatchRegression:
                 schema,
                 tree_topology(7),
                 covering="approximate",
-                epsilon=0.2,
-                cube_budget=20_000,
+                config=IndexConfig(cube_budget=20_000, epsilon=0.2),
                 matching=matching,
                 seed=5,
             )

@@ -16,6 +16,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.index.config import IndexConfig
 from repro.pubsub.match_index import MatchIndex
 from repro.pubsub.network import BrokerNetwork, tree_topology
 from repro.pubsub.schema import Attribute, AttributeSchema
@@ -31,7 +32,7 @@ def _schema(order=5):
 
 
 def _make_indexes(schema):
-    return [MatchIndex(schema, curve=curve) for curve in CURVE_KINDS]
+    return [MatchIndex(schema, config=IndexConfig(curve=curve)) for curve in CURVE_KINDS]
 
 
 _lifecycle = st.lists(
@@ -148,8 +149,7 @@ def test_routing_state_pinned():
         scenario.schema,
         tree_topology(7),
         covering="approximate",
-        epsilon=0.2,
-        cube_budget=500,
+        config=IndexConfig(cube_budget=500, epsilon=0.2),
         matching="sfc",
     )
     script = subscription_churn_script(scenario, list(range(7)), seed=3)

@@ -142,13 +142,13 @@ class TestTunerWiring:
 class TestTunerBehaviour:
     def test_tuned_equals_static_delivery(self):
         """The tuned ≡ static differential: tuning never changes semantics."""
-        tuned = _sfc_network(run_budget=1)
+        tuned = _sfc_network(config=IndexConfig(run_budget=1))
         tuned.attach_tuner(drift_threshold=0.0, min_lookups=2, cooldown=0)
-        static = _sfc_network(run_budget=1)
+        static = _sfc_network(config=IndexConfig(run_budget=1))
         assert _drive(tuned) == _drive(static)
 
     def test_tuner_actually_swaps_on_a_drifting_workload(self):
-        network = _sfc_network(run_budget=1)
+        network = _sfc_network(config=IndexConfig(run_budget=1))
         tuner = network.attach_tuner(
             drift_threshold=0.05, min_lookups=4, cooldown=1
         )
@@ -161,7 +161,7 @@ class TestTunerBehaviour:
     def test_same_seed_runs_tune_identically(self):
         runs = []
         for _ in range(2):
-            network = _sfc_network(run_budget=1)
+            network = _sfc_network(config=IndexConfig(run_budget=1))
             tuner = network.attach_tuner(
                 drift_threshold=0.05, min_lookups=4, cooldown=1
             )
@@ -172,9 +172,9 @@ class TestTunerBehaviour:
         assert runs[0] == runs[1]
 
     def test_tuned_does_less_work_than_drifted_static(self):
-        tuned = _sfc_network(run_budget=1)
+        tuned = _sfc_network(config=IndexConfig(run_budget=1))
         tuned.attach_tuner(drift_threshold=0.05, min_lookups=4, cooldown=1)
-        static = _sfc_network(run_budget=1)
+        static = _sfc_network(config=IndexConfig(run_budget=1))
         _drive(tuned)
         _drive(static)
 
